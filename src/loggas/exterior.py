@@ -11,8 +11,8 @@ momentum of an L-blade J is sum(J) - L(N-1)/2.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -246,7 +246,10 @@ def star(a: Multivector):
 
 def divided_wedge_power(a: Multivector, k: int) -> Multivector:
     """a^{wedge k}/k!, built as D_j = (D_{j-1} ^ a)/j to keep exact
-    coefficients small at every step."""
+    coefficients small at every step.
+
+    The definitional reference for the divided-power background; the
+    evaluation paths use star_pairing instead."""
     if k < 0:
         raise ValueError("negative wedge power")
     one = 1.0 if any(isinstance(c, float) for c in a.terms.values()) else rational(1)
@@ -267,11 +270,87 @@ def divided_wedge_power(a: Multivector, k: int) -> Multivector:
     return out
 
 
+def _exact_terms(a: Multivector) -> dict:
+    """a.terms with each float read as the dyadic rational it is."""
+    return {m: rational(Fraction(c)) if isinstance(c, float) else c for m, c in a.terms.items()}
+
+
+def star_pairing(gamma: Multivector):
+    """pair(forms) = star(forms[0] ^ .. ^ forms[k-1] ^ gamma^{M-k}/(M-k)!)
+    for a grade-L background gamma and k <= M grade-L forms.
+
+    One recursion over the free slot set S places the forms in order,
+    then expands gamma^{|S|/L}/(|S|/L)! over the gamma blocks holding
+    the lowest slot of S (the set-partition form of the hyperpfaffian),
+    memoized by slot bitmask and shared by every pair() call.  Rational
+    and Tagged scalars keep their type.  Float coefficients are read as
+    the dyadic rationals they are and the value is rounded once: a float
+    sum here cancels away every digit on ill-conditioned backgrounds.
+    """
+    shape = gamma.shape
+    L, N, full = shape.L, shape.N, shape.volume_mask
+    if not gamma.is_zero() and gamma.grade != L:
+        raise ValueError(f"the background needs grade {L}, got {gamma.grade}")
+    float_gamma = any(isinstance(c, float) for c in gamma.terms.values())
+    blocks = _exact_terms(gamma)
+    by_low: dict = {}  # lowest slot bit -> [(blade, coeff)]
+    for mask, c in blocks.items():
+        by_low.setdefault(mask & -mask, []).append((mask, c))
+    background: dict = {}  # slot set -> coefficient, None for zero
+
+    def expand(S: int, blocks, inner):
+        """Sum over the blocks B inside S of sign * c_B * inner(S ^ B)."""
+        total = None
+        for B, c in blocks:
+            if B & S != B or (rest := inner(S ^ B)) is None:
+                continue
+            # even grade: e_B ^ e_R = e_R ^ e_B, and merge_sign loops over B's bits
+            term = c * rest if merge_sign(S ^ B, B) > 0 else -(c * rest)
+            total = term if total is None else total + term
+        return total
+
+    def bg(S: int):
+        if S not in background:
+            if S.bit_count() == L:
+                background[S] = blocks.get(S)
+            else:
+                background[S] = expand(S, by_low.get(S & -S, ()), bg)
+        return background[S]
+
+    def pair(forms):
+        k = len(forms)
+        if k > shape.M:
+            raise ValueError(f"at most {shape.M} forms, got {k}")
+        for f in forms:
+            if f.shape != shape or not (f.is_zero() or f.grade == L):
+                raise ValueError(f"star_pairing needs grade-{L} forms over {shape}")
+        terms = [_exact_terms(f) for f in forms]
+        blades = [list(t.items()) for t in terms]
+        memo: dict = {}
+
+        def rec(S: int):
+            j = (N - S.bit_count()) // L  # forms already placed
+            if j >= k:
+                return bg(S)
+            if S not in memo:
+                if S.bit_count() == L:
+                    memo[S] = terms[j].get(S)
+                else:
+                    memo[S] = expand(S, blades[j], rec)
+            return memo[S]
+
+        value = rec(full)
+        floats = float_gamma or any(isinstance(c, float) for f in forms for c in f.terms.values())
+        if value is None or scalar_is_zero(value):
+            return 0.0 if floats else rational(0)
+        return float(value) if floats else value
+
+    return pair
+
+
 def hyperpfaffian(a: Multivector):
     """star(a^{wedge M}/M!) for a grade-L form over its own shape."""
-    if not a.is_zero() and a.grade != a.shape.L:
-        raise ValueError(f"hyperpfaffian needs grade {a.shape.L}, got {a.grade}")
-    return star(divided_wedge_power(a, a.shape.M))
+    return star_pairing(a)(())
 
 
 def pfaffian_classical(A):

@@ -12,12 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .ensemble import MomentRangeError, MomentSequence, gram_form, partition_function
-from .exterior import (
-    ModelShape,
-    Multivector,
-    divided_wedge_power,
-    merge_sign,
-)
+from .exterior import ModelShape, star_pairing
 from .scalars import rational, scalar_is_zero, scalar_json
 from .spine import epsilon
 
@@ -117,33 +112,19 @@ def miwa_negative_moments(moments: MomentSequence, z, shape: ModelShape) -> Mome
     return MomentSequence(new_vals, moments.scale_symbol)
 
 
-def _star_against(a: Multivector, background: Multivector):
-    """star(a ^ background) by complement lookup, assuming the grades
-    add up to the full space."""
-    vol = a.shape.volume_mask
-    total = None
-    for mask, c in a.terms.items():
-        comp = vol ^ mask
-        bc = background.terms.get(comp)
-        if bc is None:
-            continue
-        term = c * bc
-        if merge_sign(mask, comp) < 0:
-            term = -term
-        total = term if total is None else total + term
-    return rational(0) if total is None else total
+def _star_against(pair, mode):
+    """star(mode ^ gamma^{^(M-1)}/(M-1)!) on the background of pair, a
+    star_pairing: the adjunction value of a momentum mode."""
+    return pair((mode,))
 
 
 def psi_minus(moments: MomentSequence, shape: ModelShape) -> LaurentPolynomial:
     """Insertion wave function: sum_p z^{p+K} A_p with
     A_p = star_M(eps_p ^ gamma^{^(M-1)}/(M-1)!)."""
-    gamma = gram_form(moments, shape)
-    background = divided_wedge_power(gamma, shape.M - 1)
-    coeffs = {}
-    for p in range(-shape.K, shape.K + 1):
-        A_p = _star_against(epsilon(p, shape), background)
-        coeffs[p + shape.K] = A_p
-    return LaurentPolynomial(coeffs)
+    pair = star_pairing(gram_form(moments, shape))
+    return LaurentPolynomial(
+        {p + shape.K: _star_against(pair, epsilon(p, shape)) for p in range(-shape.K, shape.K + 1)}
+    )
 
 
 def psi_plus(
@@ -159,7 +140,7 @@ def psi_plus(
     the (M+1)-system.
     """
     if k_cut is None:
-        k_cut = 2 * shape.K
+        k_cut = max(2 * shape.K, 1)
     if k_cut < 1:
         raise ValueError(f"k_cut must be >= 1, got {k_cut}")
     plus = ModelShape(shape.L, shape.M + 1)
@@ -168,11 +149,8 @@ def psi_plus(
         raise MomentRangeError(
             f"psi_plus needs moments through m_{k_cut + 2 * Kp}, have D={moments_plus.D}"
         )
-    gamma_plus = gram_form(moments_plus, plus)
-    background = divided_wedge_power(gamma_plus, shape.M + 1 - 1)
-    G = {}
-    for p in range(-Kp, Kp + 1):
-        G[p] = _star_against(epsilon(p, plus), background)
+    pair = star_pairing(gram_form(moments_plus, plus))
+    G = {p: _star_against(pair, epsilon(p, plus)) for p in range(-Kp, Kp + 1)}
     L2 = shape.L * shape.L
     coeffs = {}
     for k in range(1, k_cut + 1):
@@ -193,9 +171,7 @@ def extraction_evaluate(q: int, moments_plus: MomentSequence, shape: ModelShape)
     """
     if abs(q) > shape.K:
         return rational(0)
-    gamma_plus = gram_form(moments_plus, shape)
-    background = divided_wedge_power(gamma_plus, shape.M - 1)
-    return _star_against(epsilon(q, shape), background)
+    return _star_against(star_pairing(gram_form(moments_plus, shape)), epsilon(q, shape))
 
 
 def hirota_residual(

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -47,6 +48,27 @@ def test_partition_float_mode(capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["Z"] == pytest.approx(4.71238898038469, abs=1e-12)
+
+
+def test_partition_float_mode_converts_exact_value(capsys):
+    # (2,5) on uniform[0,1]: summing float moments loses ~3% here, so the
+    # float result must be the exact Z converted once
+    argv = ["partition", "--L", "2", "--M", "5", "--weight", "uniform:0,1", "--route", "hyperpfaffian"]
+    _, out, _ = run(capsys, *argv)
+    num, _, den = json.loads(out)["Z"].partition("/")
+    exact = Fraction(int(num), int(den or 1))
+    code, out, _ = run(capsys, *argv, "--mode", "float")
+    assert code == 0
+    assert json.loads(out)["Z"] == pytest.approx(float(exact), rel=1e-12, abs=0)
+
+
+def test_correlate_float_mode_converts_exact_value(capsys):
+    argv = ["correlate", "--L", "2", "--M", "5", "--weight", "uniform:0,1", "--points", "1/8"]
+    _, out, _ = run(capsys, *argv)
+    num, _, den = json.loads(out)["R"].partition("/")
+    code, out, _ = run(capsys, *argv, "--mode", "float")
+    assert code == 0
+    assert json.loads(out)["R"] == pytest.approx(int(num) / int(den or 1), rel=1e-12, abs=0)
 
 
 def test_partition_moments_file(capsys, tmp_path):
@@ -215,6 +237,29 @@ def test_usage_error_weight_and_moments_file(capsys, tmp_path):
     )
     assert code == 2
     assert "not both" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["correlate", "--L", "2", "--M", "2", "--weight", "uniform:0,1", "--points", "1/0"],
+        ["partition", "--L", "2", "--M", "2", "--moments-file", "{missing}"],
+        ["oracle", "--L", "2", "--M", "2", "--weight", "uniform:0,1", "--budget", "1"],
+        ["verify-confluent", "--L", "2", "--M", "2", "--trials", "0"],
+        ["verify-toeplitz", "--L", "2", "--M", "2", "--threads", "0"],
+    ],
+    ids=["points-zero-denominator", "missing-moments-file", "budget-1", "trials-0", "threads-0"],
+)
+def test_usage_error_bad_input(capsys, tmp_path, argv):
+    argv = [a.format(missing=tmp_path / "missing.json") for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse rejects the value itself
+        code = e.code
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "Traceback" not in out.err
 
 
 def test_out_file(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,7 @@ from loggas.ensemble import (
     partition_function,
     r1_normalization,
 )
-from loggas.exterior import ModelShape, hyperpfaffian, mask_to_degrees
+from loggas.exterior import ModelShape, Multivector, hyperpfaffian, mask_to_degrees
 from loggas.scalars import Tagged, as_float, rational
 
 S22 = ModelShape(2, 2)
@@ -123,6 +124,18 @@ def test_partition_float_mode():
     assert abs(Z - 1 / 30) < 1e-15
 
 
+def test_float_moments_are_summed_exactly():
+    # (2,5) on uniform[0,1], where a float sum of the pairing loses every
+    # digit: floats are read as dyadic rationals and the value rounded once
+    shape = ModelShape(2, 5)
+    exact = UNIFORM.moments(2 * shape.K)
+    gamma = gram_form(exact.as_float(), shape)
+    dyadic = Multivector(shape, {m: Fraction(c) for m, c in gamma.terms.items()})
+    Z = hyperpfaffian(gamma)
+    assert isinstance(Z, float) and Z == float(hyperpfaffian(dyadic))
+    assert Z == pytest.approx(as_float(partition_function(exact, shape)), rel=1e-6, abs=0)
+
+
 def test_partition_homogeneity():
     mom = MomentSequence(["1", "1/2", "1/3", "1/4", "1/5"])
     Z = partition_function(mom, S22)
@@ -192,6 +205,14 @@ def test_correlation_float_matches_exact():
     exact = correlation([rational("1/2")], UNIFORM, S22)
     approx = correlation([0.5], UNIFORM, S22, mode="float")
     assert abs(approx - float(exact)) < 1e-12
+
+
+def test_correlation_float_is_the_exact_value_converted():
+    # (2,5) on uniform[0,1]: float moments would lose every digit of R_1
+    shape = ModelShape(2, 5)
+    exact = correlation([rational("1/8")], UNIFORM, shape)
+    approx = correlation([0.125], UNIFORM, shape, mode="float")
+    assert approx == pytest.approx(float(exact), rel=1e-12, abs=0)
 
 
 def test_r1_normalization_is_M():

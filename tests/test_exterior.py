@@ -14,11 +14,12 @@ from loggas.exterior import (
     omega,
     pfaffian_classical,
     star,
+    star_pairing,
     superfactorial,
     wedge,
     zero_multivector,
 )
-from loggas.scalars import rational
+from loggas.scalars import Tagged, rational
 from loggas.spine import epsilon
 
 S22 = ModelShape(2, 2)
@@ -130,6 +131,28 @@ def test_hyperpfaffian_simple():
     s21 = ModelShape(2, 1)
     gamma = basis_blade(s21, [0, 1], rational("5/7"))
     assert hyperpfaffian(gamma) == rational("5/7")
+
+
+def test_star_pairing_keeps_scalar_types():
+    # the sqrt(pi) tag and floats pass through; a vanishing value is a
+    # plain zero of the input's kind
+    tagged = basis_blade(S22, [0, 1], Tagged(2, 1)) + basis_blade(S22, [2, 3], Tagged(3, 1))
+    assert star_pairing(tagged)(()) == Tagged(6, 2)
+    floats = Multivector(S22, {0b0011: 2.0, 0b1100: 3.0})
+    assert star_pairing(floats)(()) == 6.0
+    assert star_pairing(floats)((basis_blade(S22, [0, 1]),)) == 3.0
+    vanishing = star_pairing(Multivector(S22, {0b0011: 2.0}))(())
+    assert vanishing == 0.0 and isinstance(vanishing, float)
+    zero = star_pairing(tagged)((basis_blade(S22, [0, 2]),))
+    assert zero == 0 and not isinstance(zero, (Tagged, float))
+
+
+def test_star_pairing_rejects_bad_forms():
+    pair = star_pairing(epsilon(0, S22))
+    with pytest.raises(ValueError):
+        pair((basis_blade(S22, [0]),))
+    with pytest.raises(ValueError):
+        pair((epsilon(0, S22),) * 3)
 
 
 def test_pfaffian_classical():

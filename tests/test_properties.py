@@ -1,5 +1,6 @@
 """Property-based checks of the algebraic invariants."""
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from loggas.exterior import (
     merge_sign,
     omega,
     star,
+    star_pairing,
     wedge,
     zero_multivector,
 )
@@ -164,3 +166,29 @@ def test_confluent_two_points(xs):
     x1, x2 = (rational(Fraction(v)) for v in xs)
     form = wedge(omega(x1, S22), omega(x2, S22))
     assert star(form) == (x2 - x1) ** 4
+
+
+def random_form(shape, rnd, density):
+    terms = {}
+    for J in combinations(range(shape.N), shape.L):
+        if rnd.random() < density:
+            terms[sum(1 << r for r in J)] = rational(Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)))
+    return Multivector(shape, terms, shape.L)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.sampled_from([ModelShape(2, 3), ModelShape(4, 2), ModelShape(6, 2)]),
+    st.sampled_from(["none", "one", "all"]),
+    st.randoms(use_true_random=False),
+)
+def test_star_pairing_matches_divided_powers(shape, leading, rnd):
+    # the subset-memo pairing against the definitional divided power
+    density = 0.3 if shape.L == 6 else 0.7
+    gamma = random_form(shape, rnd, density)
+    k = {"none": 0, "one": 1, "all": shape.M}[leading]
+    forms = [random_form(shape, rnd, density) for _ in range(k)]
+    product = divided_wedge_power(gamma, shape.M - k)
+    for f in reversed(forms):
+        product = wedge(f, product)
+    assert star_pairing(gamma)(tuple(forms)) == star(product)

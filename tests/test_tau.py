@@ -140,6 +140,8 @@ def test_psi_plus_worked_value():
     s21 = ModelShape(2, 1)
     p = psi_plus(UNIFORM.moments(5), s21, k_cut=1)
     assert p.coeffs == {-1: rational("2/15")}
+    # at M = 1 (K = 0) the default k_cut is 1, as for hirota_residual
+    assert psi_plus(UNIFORM.moments(5), s21) == p
 
 
 def test_psi_plus_range_guards():
