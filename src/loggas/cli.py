@@ -29,7 +29,6 @@ from .oracle import direct_interaction, integrate_partition, integrate_R1
 from .scalars import as_float, format_rational, rational, scalar_is_zero, scalar_json
 from .spine import (
     ToeplitzOperator,
-    adjunction_expansion,
     epsilon,
     higher_plucker_residual,
     plucker_residual,
@@ -37,6 +36,7 @@ from .spine import (
     toeplitz_residual,
 )
 from .tau import (
+    default_k_cut,
     hirota_residual,
     psi_minus,
     psi_plus,
@@ -182,7 +182,7 @@ def _wave_inputs(args, shape: ModelShape):
     """Report header, t and t' moments, and k_cut of psi and transport-spectrum."""
     weight = _parse_weight(args)
     weight_plus = _weight_from_string(args.weight_plus) if args.weight_plus else weight
-    k_cut = args.k_cut if args.k_cut is not None else max(2 * shape.K, 1)
+    k_cut = args.k_cut if args.k_cut is not None else default_k_cut(shape)
     plus_K = ModelShape(shape.L, shape.M + 1).K
     header = {
         "L": shape.L,
@@ -264,11 +264,8 @@ def cmd_verify_adjunction(args) -> int:
     def check(item):
         # the adjunction value at q is the z^{q+K} coefficient of psi_minus
         idx, moments = item
-        minus = psi_minus(moments, shape)
-        bad = [
-            q for q in range(-shape.K, shape.K + 1)
-            if minus.coefficient(q + shape.K) != adjunction_expansion(q, moments, shape, table)
-        ]
+        minus, expansion = psi_minus(moments, shape), table.adjunction(moments)
+        bad = [q for q, A in expansion.items() if minus.coefficient(q + shape.K) != A]
         return {"trial": idx, "expected": "adjunction = table expansion for all q", "mismatch_at": bad, "ok": not bad}
 
     return _verdict(args, "adjunction", shape, _map_ordered(check, list(enumerate(seqs)), args.threads))
@@ -277,7 +274,7 @@ def cmd_verify_adjunction(args) -> int:
 def cmd_verify_hirota(args) -> int:
     shape = _shape(args)
     rng = random.Random(args.seed)
-    k_cut = args.k_cut if args.k_cut is not None else max(2 * shape.K, 1)
+    k_cut = args.k_cut if args.k_cut is not None else default_k_cut(shape)
     plus_shape = ModelShape(shape.L, shape.M + 1)
     pairs = [
         (_random_moments(rng, 2 * shape.K), _random_moments(rng, k_cut + 2 * plus_shape.K))

@@ -21,7 +21,7 @@ from .exterior import (
     star_pairing,
 )
 from .scalars import SCALE_FLOATS, Tagged, as_float, format_rational, rational
-from .spine import _multiplicity_factor, epsilon, structure_table
+from .spine import epsilon, structure_table
 
 
 class MomentRangeError(IndexError):
@@ -198,18 +198,16 @@ def gram_form(moments: MomentSequence, shape: ModelShape, route: str = "blade") 
 
 def partition_function(moments: MomentSequence, shape: ModelShape, route: str = "hyperpfaffian"):
     """Z by either the hyperpfaffian of gamma or the structure-table
-    polynomial; the two must agree exactly."""
+    polynomial; the two must agree exactly.  Float moments are read as
+    the dyadic rationals they are and Z is rounded once."""
     if route == "hyperpfaffian":
+        if any(isinstance(v, float) for v in moments.values):
+            # gram_form would round w_J * m_k: pair the dyadic moments exactly, round once
+            exact = [Fraction(v) if isinstance(v, float) else v for v in moments.values]
+            return as_float(hyperpfaffian(gram_form(MomentSequence(exact, moments.scale_symbol), shape)))
         return hyperpfaffian(gram_form(moments, shape))
     if route == "structure_poly":
-        table = structure_table(shape)
-        total = rational(0)
-        for key, C in table.entries.items():
-            prod = rational(C)
-            for p in key:
-                prod = prod * moments.mhat(p, shape.K)
-            total = total + prod / _multiplicity_factor(key)
-        return total
+        return structure_table(shape).evaluate(moments)
     raise ValueError(f"unknown partition route {route!r}")
 
 

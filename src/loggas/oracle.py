@@ -224,6 +224,8 @@ def integrate_R1(
     nodes: int | None = None,
 ) -> IntegrationReport:
     """Estimate R_1(x) from its defining (M-1)-fold integral."""
+    if method not in ("tensor_quadrature", "monte_carlo"):
+        raise ValueError("no closed form for R_1" if method == "closed_form" else f"unknown method {method!r}")
     x = float(x)
     L2 = shape.L * shape.L
     M = shape.M
@@ -249,26 +251,24 @@ def integrate_R1(
             samples_or_nodes=n ** (M - 1),
             method=method,
         )
-    if method == "monte_carlo":
-        mean_n, se_n, n1 = _mc_mean(weight, M - 1, budget, seed, 2, threads, f_insert)
-        numer = mean_n / math.factorial(M - 1)
-        numer_se = se_n / math.factorial(M - 1)
-        zrep = integrate_partition(weight, shape, "monte_carlo", budget, seed, threads)
-        est = wx * numer / zrep.estimate
-        rel = 0.0
-        if numer != 0.0:
-            rel = math.sqrt(
-                (numer_se / numer) ** 2 + (zrep.std_error / zrep.estimate) ** 2
-            )
-        return IntegrationReport(
-            estimate=est,
-            std_error=abs(est) * rel,
-            samples_or_nodes=n1,
-            method=method,
-            seed=seed,
-            budget=budget,
+    mean_n, se_n, n1 = _mc_mean(weight, M - 1, budget, seed, 2, threads, f_insert)
+    numer = mean_n / math.factorial(M - 1)
+    numer_se = se_n / math.factorial(M - 1)
+    zrep = integrate_partition(weight, shape, "monte_carlo", budget, seed, threads)
+    est = wx * numer / zrep.estimate
+    rel = 0.0
+    if numer != 0.0:
+        rel = math.sqrt(
+            (numer_se / numer) ** 2 + (zrep.std_error / zrep.estimate) ** 2
         )
-    raise ValueError(f"unknown method {method!r}")
+    return IntegrationReport(
+        estimate=est,
+        std_error=abs(est) * rel,
+        samples_or_nodes=n1,
+        method=method,
+        seed=seed,
+        budget=budget,
+    )
 
 
 def time_vector_moments(

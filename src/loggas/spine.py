@@ -12,6 +12,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -21,14 +22,13 @@ from .exterior import (
     blade_momentum,
     blade_weights,
     merge_sign,
-    mask_to_degrees,
     wedge,
     zero_multivector,
 )
-from .scalars import rational
+from .scalars import Tagged, rational, tagged
 
 # guard for structure_table: refuse shapes whose blade space at grade L
-# is too large to enumerate set partitions of
+# is too large to expand over
 STRUCTURE_CEILING = 10_000_000
 
 CACHE_ENV = "LOGGAS_CACHE_DIR"
@@ -72,6 +72,44 @@ class StructureTable:
         key = tuple(sorted(P))
         return self.entries.get(key, 0)
 
+    def evaluate(self, moments):
+        """Z = star(gamma^M/M!) = sum over keys P of C_P prod_{p in P} mhat_p / mult(P)."""
+        return self._moment_pass(moments, gradient=False)[None]
+
+    def adjunction(self, moments) -> dict:
+        """{q: A_q} for |q| <= K, A_q = star(eps_q ^ gamma^{M-1}/(M-1)!) = dZ/d mhat_q."""
+        return self._moment_pass(moments, gradient=True)
+
+    def _moment_pass(self, moments, gradient: bool) -> dict:
+        """Z (key None) or every A_q on Python ints: with mhat_p = num[p]/den,
+        C_P (M-k)!/mult(P) (times count_q(P) for A_q, k = 1) is an integer.
+        The scalar is rebuilt once, Tagged with power M - k, or rounded once
+        if a moment is a float (read as the dyadic rational it is)."""
+        K, M = self.shape.K, self.shape.M
+        vals = [moments.mhat(p, K) for p in range(-K, K + 1)]
+        floats = any(isinstance(v, float) for v in vals)
+        symbol = next((v.symbol for v in vals if isinstance(v, Tagged)), None)
+        exact = [Fraction(v) if isinstance(v, float) else v.value if isinstance(v, Tagged) else v for v in vals]
+        den = math.lcm(*(int(v.denominator) for v in exact))
+        num = {p: int(v.numerator) * (den // int(v.denominator)) for p, v in zip(range(-K, K + 1), exact)}
+        k = 1 if gradient else 0
+        f = math.factorial(M - k)
+        sums = dict.fromkeys(range(-K, K + 1) if gradient else (None,), 0)
+        for key, C in self.entries.items():
+            c, mult = C * f, _multiplicity_factor(key)
+            if gradient:
+                for q in set(key):
+                    i = key.index(q)
+                    rest = key[:i] + key[i + 1 :]
+                    sums[q] += math.prod((num[p] for p in rest), start=c * key.count(q) // mult)
+            else:
+                sums[None] += math.prod((num[p] for p in key), start=c // mult)
+        out = {}
+        for q, total in sums.items():
+            v = rational(total) / (den ** (M - k) * f)
+            out[q] = float(v) if floats else tagged(v, M - k, symbol) if symbol else v
+        return out
+
     def __eq__(self, other):
         if not isinstance(other, StructureTable):
             return NotImplemented
@@ -101,53 +139,42 @@ class StructureTable:
         return cls(shape, entries)
 
 
-def _block_partitions(mask: int, L: int):
-    """Unordered partitions of the slot set into blocks of size L,
-    yielded as tuples in generation order: each block contains the
-    smallest slot not used by earlier blocks."""
-    if mask == 0:
-        yield ()
-        return
-    low = mask & -mask
-    rest = mask ^ low
-    r = low.bit_length() - 1
-    from itertools import combinations
-
-    others = mask_to_degrees(rest)
-    for extra in combinations(others, L - 1):
-        block = low
-        for s in extra:
-            block |= 1 << s
-        for tail in _block_partitions(mask & ~block, L):
-            yield (block,) + tail
-
-
 def _build_structure_table(shape: ModelShape) -> StructureTable:
+    """Lowest-slot expansion over the partitions of the slots into
+    L-blocks, memoized by slot bitmask: T(S) maps the sorted block momenta
+    of each partition of S to its summed sign * prod w_B."""
     if math.comb(shape.N, shape.L) > STRUCTURE_CEILING:
         raise ValueError(
             f"blade space C({shape.N},{shape.L}) exceeds the structure-table ceiling"
         )
+    L = shape.L
     weights = blade_weights(shape)
-    acc: dict = {}
-    for blocks in _block_partitions(shape.volume_mask, shape.L):
-        w = 1
-        sign = 1
-        merged = 0
-        momenta = []
-        for b in blocks:
-            w *= weights[b][0]
-            sign *= merge_sign(merged, b)
-            merged |= b
-            momenta.append(blade_momentum(b, shape))
-        key = tuple(sorted(momenta))
-        acc[key] = acc.get(key, 0) + sign * w
+    shift = L * (shape.N - 1) // 2  # an L-blade's momentum is its degree sum minus this
+    by_low: dict = {}  # lowest slot bit -> [(block, w_B, momentum)]
+    for mask, (w, degsum) in weights.items():
+        by_low.setdefault(mask & -mask, []).append((mask, w, degsum - shift))
+    memo: dict = {}
+
+    def T(S: int) -> dict:
+        if S.bit_count() == L:
+            w, degsum = weights[S]
+            return {(degsum - shift,): w}
+        if S not in memo:
+            acc: dict = {}
+            for B, w, p in by_low[S & -S]:
+                if B & S != B:
+                    continue
+                c = w if merge_sign(S ^ B, B) > 0 else -w  # e_B ^ e_R = e_R ^ e_B at even grade
+                for key, v in T(S ^ B).items():
+                    key = tuple(sorted(key + (p,)))
+                    acc[key] = acc.get(key, 0) + c * v
+            memo[S] = acc
+        return memo[S]
+
     # an unordered partition stands for several ordered block sequences
     # of equal contribution (L even); the ordered star value needs the
     # product of multiplicity factorials of the repeated momenta
-    entries = {}
-    for key, s in acc.items():
-        if s != 0:
-            entries[key] = s * _multiplicity_factor(key)
+    entries = {key: v * _multiplicity_factor(key) for key, v in T(shape.volume_mask).items() if v}
     return StructureTable(shape, entries)
 
 
@@ -262,34 +289,11 @@ def adjunction_expansion(q: int, moments, shape: ModelShape, table: StructureTab
         (1/(M-1)!) sum over ordered (p_1..p_{M-1}), sum p_i = -q,
                    of C_{(q, p_1..p_{M-1})} prod mhat_{p_i}
 
+    read from the table's integer pass (StructureTable.adjunction).
     moments needs only an mhat(p, K) accessor.  Independent of the
     exterior-algebra evaluation route by construction.
     """
-    if table is None:
-        table = structure_table(shape)
-    K = shape.K
-    M = shape.M
-    total = rational(0)
-
-    def rec(prefix, remaining, depth, prod):
-        nonlocal total
-        if depth == M - 1:
-            if remaining != 0:
-                return
-            C = table.lookup(prefix + (q,))
-            if C:
-                total = total + C * prod
-            return
-        slots_left = M - 1 - depth - 1
-        lo = max(-K, remaining - slots_left * K)
-        hi = min(K, remaining + slots_left * K)
-        for p in range(lo, hi + 1):
-            rec(prefix + (p,), remaining - p, depth + 1, prod * moments.mhat(p, K))
-
-    if M == 1:
-        return rational(table.lookup((q,)))
-    rec((), -q, 0, rational(1))
-    return total / math.factorial(M - 1)
+    return (table or structure_table(shape)).adjunction(moments).get(q, rational(0))
 
 
 def toeplitz_residual(T: ToeplitzOperator, n: int, shape: ModelShape) -> Multivector:

@@ -127,6 +127,11 @@ def psi_minus(moments: MomentSequence, shape: ModelShape) -> LaurentPolynomial:
     )
 
 
+def default_k_cut(shape: ModelShape) -> int:
+    """The psi_plus truncation used when none is given: 2K, at least 1."""
+    return max(2 * shape.K, 1)
+
+
 def psi_plus(
     moments_plus: MomentSequence, shape: ModelShape, k_cut: int | None = None
 ) -> LaurentPolynomial:
@@ -140,7 +145,7 @@ def psi_plus(
     the (M+1)-system.
     """
     if k_cut is None:
-        k_cut = max(2 * shape.K, 1)
+        k_cut = default_k_cut(shape)
     if k_cut < 1:
         raise ValueError(f"k_cut must be >= 1, got {k_cut}")
     plus = ModelShape(shape.L, shape.M + 1)
@@ -182,19 +187,14 @@ def hirota_residual(
 ):
     """[z^0](psi_minus(t; z) * psi_plus(t'; z)) = sum_k A_{k-K} B_k.
 
-    Exact coefficient extraction; sums k from 1 to k_cut.
+    Exact coefficient extraction; sums k from 1 to k_cut (default_k_cut).
     """
-    if k_cut is None:
-        k_cut = max(2 * shape.K, 1)
     minus = psi_minus(moments, shape)
-    plus = psi_plus(moments_plus, shape, k_cut)
     total = rational(0)
-    for k in range(1, k_cut + 1):
-        A = minus.coefficient(k)  # z^{p+K} with p = k - K
-        B = plus.coefficient(-k)
-        if scalar_is_zero(A) or scalar_is_zero(B):
-            continue
-        total = total + A * B
+    for e, B in psi_plus(moments_plus, shape, k_cut).coeffs.items():
+        A = minus.coefficient(-e)  # B_k sits at z^{-k}, A_{k-K} at z^{k}
+        if not scalar_is_zero(A):
+            total = total + A * B
     return total
 
 
@@ -207,8 +207,6 @@ def transport_spectrum(
     """Full product psi_minus * psi_plus as a Laurent polynomial; the
     z^0 coefficient is the hirota_residual, every other coefficient is
     reported as a diagnostic channel."""
-    if k_cut is None:
-        k_cut = max(2 * shape.K, 1)
     return psi_minus(moments, shape) * psi_plus(moments_plus, shape, k_cut)
 
 
@@ -219,5 +217,5 @@ def wave_pair(
     k_cut: int | None = None,
 ) -> WavePair:
     if k_cut is None:
-        k_cut = max(2 * shape.K, 1)
+        k_cut = default_k_cut(shape)
     return WavePair(psi_minus(moments, shape), psi_plus(moments_plus, shape, k_cut), k_cut)

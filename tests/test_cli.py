@@ -4,11 +4,8 @@ from fractions import Fraction
 import pytest
 
 from loggas.cli import main
-
-
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("LOGGAS_CACHE_DIR", str(tmp_path / "cache"))
+from loggas.ensemble import NamedWeight
+from loggas.exterior import ModelShape
 
 
 def run(capsys, *argv):
@@ -48,6 +45,18 @@ def test_partition_float_mode(capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["Z"] == pytest.approx(4.71238898038469, abs=1e-12)
+
+
+@pytest.mark.parametrize("M", [3, 5])
+def test_partition_float_moments_file_routes_agree(capsys, tmp_path, M):
+    # both routes read the float moments exactly and round Z once
+    path = tmp_path / "moments.json"
+    moments = NamedWeight.uniform(0, 1).moments(2 * ModelShape(2, M).K).as_float()
+    path.write_text(json.dumps(moments.to_json_dict()))
+    code, out, _ = run(capsys, "partition", "--L", "2", "--M", str(M), "--moments-file", str(path))
+    doc = json.loads(out)
+    assert code == 0 and doc["routes_agree"] is True
+    assert isinstance(doc["Z"], float) and doc["Z"] > 0
 
 
 def test_partition_float_mode_converts_exact_value(capsys):
@@ -186,6 +195,16 @@ def test_oracle_closed_form(capsys):
     doc = json.loads(out)
     assert doc["estimate"] == pytest.approx(1 / 30)
     assert doc["method"] == "closed_form"
+
+
+@pytest.mark.parametrize("M", [1, 2])
+def test_oracle_r1_has_no_closed_form(capsys, M):
+    code, out, err = run(
+        capsys, "oracle", "--L", "2", "--M", str(M), "--weight", "uniform:0,1",
+        "--which", "r1", "--method", "closed_form", "--x", "1/2",
+    )
+    assert code == 2 and out == ""
+    assert "no closed form for R_1" in err
 
 
 def test_oracle_r1_requires_x(capsys):

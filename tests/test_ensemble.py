@@ -136,6 +136,18 @@ def test_float_moments_are_summed_exactly():
     assert Z == pytest.approx(as_float(partition_function(exact, shape)), rel=1e-6, abs=0)
 
 
+@pytest.mark.parametrize("L,M", [(2, 5), (4, 3)])
+def test_float_moments_give_one_float_on_both_routes(L, M):
+    # each route reads the float moments exactly and rounds once, so the
+    # two floats are the same correctly rounded value
+    shape = ModelShape(L, M)
+    moments = UNIFORM.moments(2 * shape.K).as_float()
+    z = partition_function(moments, shape, "hyperpfaffian")
+    assert isinstance(z, float) and z == partition_function(moments, shape, "structure_poly")
+    exact = [Fraction(v) for v in moments.values]
+    assert z == as_float(partition_function(MomentSequence(exact), shape))
+
+
 def test_partition_homogeneity():
     mom = MomentSequence(["1", "1/2", "1/3", "1/4", "1/5"])
     Z = partition_function(mom, S22)

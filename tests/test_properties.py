@@ -140,6 +140,18 @@ def test_extraction_matches_expansion(vals, q):
     assert extraction_evaluate(q, mom, S22) == adjunction_expansion(q, mom, S22, table)
 
 
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from([S23, S24, ModelShape(4, 2)]), st.lists(rationals, min_size=25, max_size=25))
+def test_table_euler_identity(shape, vals):
+    # Z is homogeneous of degree M in mhat and A_q = dZ/d mhat_q, so
+    # sum_q mhat_q A_q = M Z; a wrong multiplicity in the gradient breaks it
+    mom = MomentSequence([rational(Fraction(v)) for v in vals[: 2 * shape.K + 1]])
+    table = structure_table(shape, cache=False)
+    A = table.adjunction(mom)
+    total = sum((mom.mhat(q, shape.K) * a for q, a in A.items()), rational(0))
+    assert total == shape.M * table.evaluate(mom)
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(-12, 12))
 def test_epsilon_vanishes_out_of_band(p):

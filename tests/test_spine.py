@@ -1,11 +1,12 @@
 import json
 import math
+import random
 
 import pytest
 
 from loggas.ensemble import MomentSequence, NamedWeight
 from loggas.exterior import ModelShape, basis_blade, omega, star, wedge
-from loggas.scalars import rational
+from loggas.scalars import Tagged, rational
 from loggas.spine import (
     StructureTable,
     ToeplitzOperator,
@@ -17,7 +18,7 @@ from loggas.spine import (
     structure_table,
     toeplitz_residual,
 )
-from loggas.tau import extraction_evaluate
+from loggas.tau import extraction_evaluate, psi_minus
 
 S22 = ModelShape(2, 2)
 S23 = ModelShape(2, 3)
@@ -47,16 +48,23 @@ def test_structure_table_2_2():
     assert table.lookup((1, 1)) == 0
 
 
-def test_structure_table_matches_direct_star():
-    table = structure_table(S23, cache=False)
-    for key, C in table.entries.items():
-        form = epsilon(key[0], S23)
+@pytest.mark.parametrize("L,M,other_key", [(2, 3, (2, 2, -4)), (2, 4, (6, -5, 5, -6))], ids=["2-3", "2-4"])
+def test_structure_table_matches_direct_star(L, M, other_key):
+    shape = ModelShape(L, M)
+    table = structure_table(shape, cache=False)
+
+    def direct(key):
+        form = epsilon(key[0], shape)
         for p in key[1:]:
-            form = wedge(form, epsilon(p, S23))
-        assert star(form) == rational(C), key
-    # and a zero entry really is zero
-    form = wedge(wedge(epsilon(2, S23), epsilon(2, S23)), epsilon(-4, S23))
-    assert star(form) == rational(table.lookup((2, 2, -4)))
+            form = wedge(form, epsilon(p, shape))
+        return star(form)
+
+    for key, C in table.entries.items():
+        assert direct(key) == rational(C), key
+    # a key out of canonical order reads the same entry, and a key the
+    # table omits really is zero
+    assert direct(other_key) == rational(table.lookup(other_key))
+    assert tuple(sorted(other_key)) in table.entries or direct(other_key) == 0
 
 
 def test_structure_table_4_2_binomials():
@@ -157,6 +165,28 @@ def test_adjunction_expansion_matches_exterior_route():
         lhs = extraction_evaluate(q, moments, S22)
         rhs = adjunction_expansion(q, moments, S22, table)
         assert lhs == rhs, q
+
+
+@pytest.mark.parametrize("L,M", [(2, 5), (4, 3), (6, 2)])
+def test_table_adjunction_matches_psi_minus(L, M):
+    # one table pass gives every A_q; psi_minus pairs on the exterior side
+    shape = ModelShape(L, M)
+    rng = random.Random(f"{L},{M}")
+    table = structure_table(shape, cache=False)
+    for moments in (
+        MomentSequence([f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}" for _ in range(2 * shape.K + 1)]),
+        NamedWeight.gaussian().moments(2 * shape.K),
+    ):
+        minus = psi_minus(moments, shape)
+        A = table.adjunction(moments)
+        assert sorted(A) == list(range(-shape.K, shape.K + 1))
+        for q, a in A.items():
+            assert a == minus.coefficient(q + shape.K), q
+            if moments.scale_symbol:
+                assert isinstance(a, Tagged) and a.power == M - 1, q
+            else:
+                assert not isinstance(a, Tagged), q
+        assert adjunction_expansion(0, moments, shape, table) == A[0]
 
 
 def test_structure_cache_roundtrip(tmp_path, monkeypatch):
