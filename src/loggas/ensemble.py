@@ -12,14 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exterior import (
-    ModelShape,
-    Multivector,
-    blade_weights,
-    hyperpfaffian,
-    omega,
-    star_pairing,
-)
+from .exterior import ModelShape, Multivector, blade_weights, omega, star_pairing
 from .scalars import SCALE_FLOATS, Tagged, as_float, format_rational, rational
 from .spine import epsilon, structure_table
 
@@ -31,22 +24,20 @@ class MomentRangeError(IndexError):
 class MomentSequence:
     """m_0 .. m_D, exact rationals with an optional common scale tag.
 
-    values may also be floats (oracle output); exactness is then the
-    caller's concern.  Shifted access mhat(p, K) = m_{p+K} is legal for
+    values may also be floats (oracle output), which the pairings read as
+    dyadic rationals.  Shifted access mhat(p, K) = m_{p+K} is legal for
     p in [-K, D-K] and raises outside that window.
     """
 
     __slots__ = ("values", "scale_symbol")
 
     def __init__(self, values, scale_symbol: str | None = None):
-        vals = []
-        for v in values:
-            vals.append(v if isinstance(v, float) else rational(v))
+        vals = tuple(v if isinstance(v, float) else rational(v) for v in values)
         if not vals:
             raise ValueError("empty moment sequence")
         if scale_symbol is not None and scale_symbol not in SCALE_FLOATS:
             raise ValueError(f"unknown scale symbol {scale_symbol!r}")
-        self.values = tuple(vals)
+        self.values = vals
         self.scale_symbol = scale_symbol
 
     @property
@@ -71,6 +62,12 @@ class MomentSequence:
     def scaled(self, c) -> "MomentSequence":
         c = rational(c)
         return MomentSequence([v * c for v in self.values], self.scale_symbol)
+
+    def exact(self) -> "MomentSequence":
+        """This sequence with each float read as the dyadic rational it is."""
+        return MomentSequence(
+            [Fraction(v) if isinstance(v, float) else v for v in self.values], self.scale_symbol
+        )
 
     def as_float(self) -> "MomentSequence":
         scale = SCALE_FLOATS[self.scale_symbol] if self.scale_symbol else 1.0
@@ -182,10 +179,7 @@ def gram_form(moments: MomentSequence, shape: ModelShape, route: str = "blade") 
         )
     if route == "blade":
         shift = shape.L * (shape.L - 1) // 2
-        terms = {}
-        for mask, (w, degsum) in blade_weights(shape).items():
-            c = w * moments.m(degsum - shift)
-            terms[mask] = c
+        terms = {mask: w * moments.m(degsum - shift) for mask, (w, degsum) in blade_weights(shape).items()}
         return Multivector(shape, terms, shape.L)
     if route == "modes":
         out = None
@@ -196,16 +190,23 @@ def gram_form(moments: MomentSequence, shape: ModelShape, route: str = "blade") 
     raise ValueError(f"unknown gram route {route!r}")
 
 
+def moment_pairing(moments: MomentSequence, shape: ModelShape):
+    """(pair, out): pair is the star_pairing of the background
+    gram_form(moments) with float moments read as the dyadic rationals
+    they are (gram_form would round w_J * m_k); out rounds a value
+    computed from the pairing once when they held floats, and returns it
+    unchanged otherwise."""
+    floats = any(isinstance(v, float) for v in moments.values)
+    return star_pairing(gram_form(moments.exact(), shape)), as_float if floats else (lambda v: v)
+
+
 def partition_function(moments: MomentSequence, shape: ModelShape, route: str = "hyperpfaffian"):
     """Z by either the hyperpfaffian of gamma or the structure-table
     polynomial; the two must agree exactly.  Float moments are read as
     the dyadic rationals they are and Z is rounded once."""
     if route == "hyperpfaffian":
-        if any(isinstance(v, float) for v in moments.values):
-            # gram_form would round w_J * m_k: pair the dyadic moments exactly, round once
-            exact = [Fraction(v) if isinstance(v, float) else v for v in moments.values]
-            return as_float(hyperpfaffian(gram_form(MomentSequence(exact, moments.scale_symbol), shape)))
-        return hyperpfaffian(gram_form(moments, shape))
+        pair, out = moment_pairing(moments, shape)
+        return out(pair(()))
     if route == "structure_poly":
         return structure_table(shape).evaluate(moments)
     raise ValueError(f"unknown partition route {route!r}")
@@ -239,9 +240,9 @@ def correlation(
             if d is None:
                 raise ValueError("no exact pointwise weight; use weightless=True or float mode")
             w = w * d
-    pair = star_pairing(gram_form(weight.moments(2 * shape.K), shape))
-    numerator, Z = pair(tuple(omega(x, shape) for x in xs)), pair(())
-    return w * as_float(numerator / Z) if mode == "float" else w * numerator / Z
+    pair, out = moment_pairing(weight.moments(2 * shape.K), shape)
+    ratio = out(pair(tuple(omega(x, shape) for x in xs)) / pair(()))
+    return w * as_float(ratio) if mode == "float" else w * ratio
 
 
 def r1_normalization(moments: MomentSequence, shape: ModelShape):
@@ -250,6 +251,5 @@ def r1_normalization(moments: MomentSequence, shape: ModelShape):
     Integrating omega(x) against the weight turns it into gamma, so
     this is the x-integral of the unnormalized density; must equal M.
     """
-    gamma = gram_form(moments, shape)
-    pair = star_pairing(gamma)
-    return pair((gamma,)) / pair(())
+    pair, out = moment_pairing(moments, shape)
+    return out(pair((gram_form(moments.exact(), shape),)) / pair(()))

@@ -1,9 +1,10 @@
 """Sparse exact exterior algebra over N = L*M fermionic slots.
 
 Blades are subsets of {0, .., N-1} stored as int bitmasks.  A Multivector
-is a sparse map from blades to scalars, kept in canonical (lexicographic
-on the degree tuple) order so that serialized output is unique for a
-given value regardless of how it was assembled.
+is a sparse map from blades to scalars in no particular order; its
+serialized form and repr list blades in canonical (lexicographic on the
+degree tuple) order, so they are unique for a given value regardless of
+how it was assembled.
 
 Slot r carries monomial degree r.  The centered index of a slot, used
 only for display, is 2r - (N-1) (doubled so it stays an integer).  The
@@ -12,11 +13,10 @@ momentum of an L-blade J is sum(J) - L(N-1)/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .scalars import is_rational, rational, scalar_is_zero, scalar_json
+from .scalars import is_rational, rational, read_scaled, rebuild, scalar_is_zero, scalar_json
 
 
 @dataclass(frozen=True)
@@ -101,18 +101,10 @@ def blade_momentum(mask: int, shape: ModelShape) -> int:
     return twice // 2
 
 
-def _zero_like(terms: dict):
-    for c in terms.values():
-        if isinstance(c, float):
-            return 0.0
-        break
-    return rational(0)
-
-
 class Multivector:
     """Sparse element of the exterior algebra.
 
-    terms: dict blade-mask -> scalar, no zeros, canonically ordered.
+    terms: dict blade-mask -> scalar, no zeros, in insertion order.
     grade: common cardinality of the stored blades when they agree
     (None for the zero element and for mixed-grade sums).  A grade
     passed to the constructor is a cross-check, not an override.
@@ -121,21 +113,12 @@ class Multivector:
     __slots__ = ("shape", "terms", "grade")
 
     def __init__(self, shape: ModelShape, terms: dict, grade: int | None = None):
-        clean = {}
-        seen: int | None = None
-        mixed = False
-        for mask, coeff in sorted(terms.items(), key=lambda kv: mask_to_degrees(kv[0])):
-            if scalar_is_zero(coeff):
-                continue
+        clean = {mask: c for mask, c in terms.items() if not scalar_is_zero(c)}
+        for mask in clean:
             if mask >> shape.N:
                 raise ValueError(f"blade {mask_to_degrees(mask)} outside {shape.N} slots")
-            g = mask.bit_count()
-            if seen is None:
-                seen = g
-            elif g != seen:
-                mixed = True
-            clean[mask] = coeff
-        actual = None if mixed else seen
+        grades = {mask.bit_count() for mask in clean}
+        actual = grades.pop() if len(grades) == 1 else None
         if grade is not None and clean and actual != grade:
             raise ValueError(f"grade annotation {grade} does not match content {actual}")
         object.__setattr__(self, "shape", shape)
@@ -151,14 +134,10 @@ class Multivector:
     def __eq__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        if self.shape != other.shape:
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
+        return self.shape == other.shape and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.shape, tuple(self.terms)))
+        return hash((self.shape, frozenset(self.terms)))
 
     def __add__(self, other):
         if not isinstance(other, Multivector):
@@ -177,8 +156,6 @@ class Multivector:
         return self + (-other)
 
     def scale(self, c):
-        if scalar_is_zero(c):
-            return Multivector(self.shape, {})
         return Multivector(self.shape, {m: v * c for m, v in self.terms.items()})
 
     def __mul__(self, c):
@@ -189,16 +166,16 @@ class Multivector:
     def __repr__(self):
         if not self.terms:
             return f"Multivector({self.shape.L},{self.shape.M}; 0)"
-        parts = [f"{c!r}*e{mask_to_degrees(m)}" for m, c in list(self.terms.items())[:6]]
+        parts = [f"{c!r}*e{degrees}" for degrees, c in self._canonical()[:6]]
         more = "" if len(self.terms) <= 6 else f" +{len(self.terms) - 6} terms"
         return f"Multivector({self.shape.L},{self.shape.M}; " + " + ".join(parts) + more + ")"
 
+    def _canonical(self) -> list:
+        """[(degree tuple, coefficient)] in canonical order."""
+        return sorted((mask_to_degrees(m), c) for m, c in self.terms.items())
+
     def to_json_dict(self) -> dict:
-        out = {}
-        for mask, c in self.terms.items():
-            key = ",".join(str(r) for r in mask_to_degrees(mask))
-            out[key] = scalar_json(c)
-        return out
+        return {",".join(map(str, degrees)): scalar_json(c) for degrees, c in self._canonical()}
 
 
 def zero_multivector(shape: ModelShape) -> Multivector:
@@ -238,10 +215,7 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
 
 def star(a: Multivector):
     """Coefficient of the volume blade e_I; zero for everything else."""
-    vol = a.shape.volume_mask
-    if vol in a.terms:
-        return a.terms[vol]
-    return _zero_like(a.terms)
+    return a.terms.get(a.shape.volume_mask, rational(0))
 
 
 def divided_wedge_power(a: Multivector, k: int) -> Multivector:
@@ -252,12 +226,11 @@ def divided_wedge_power(a: Multivector, k: int) -> Multivector:
     evaluation paths use star_pairing instead."""
     if k < 0:
         raise ValueError("negative wedge power")
-    one = 1.0 if any(isinstance(c, float) for c in a.terms.values()) else rational(1)
     if a.is_zero():
-        return scalar_multivector(a.shape, one) if k == 0 else a
+        return scalar_multivector(a.shape, rational(1)) if k == 0 else a
     if a.grade is None or a.grade % 2 != 0:
         raise ValueError("divided powers need a homogeneous even grade")
-    out = scalar_multivector(a.shape, one)
+    out = scalar_multivector(a.shape, rational(1))
     for j in range(1, k + 1):
         nxt = wedge(out, a)
         out = Multivector(
@@ -270,11 +243,6 @@ def divided_wedge_power(a: Multivector, k: int) -> Multivector:
     return out
 
 
-def _exact_terms(a: Multivector) -> dict:
-    """a.terms with each float read as the dyadic rational it is."""
-    return {m: rational(Fraction(c)) if isinstance(c, float) else c for m, c in a.terms.items()}
-
-
 def star_pairing(gamma: Multivector):
     """pair(forms) = star(forms[0] ^ .. ^ forms[k-1] ^ gamma^{M-k}/(M-k)!)
     for a grade-L background gamma and k <= M grade-L forms.
@@ -282,37 +250,36 @@ def star_pairing(gamma: Multivector):
     One recursion over the free slot set S places the forms in order,
     then expands gamma^{|S|/L}/(|S|/L)! over the gamma blocks holding
     the lowest slot of S (the set-partition form of the hyperpfaffian),
-    memoized by slot bitmask and shared by every pair() call.  Rational
-    and Tagged scalars keep their type.  Float coefficients are read as
-    the dyadic rationals they are and the value is rounded once: a float
-    sum here cancels away every digit on ill-conditioned backgrounds.
+    memoized by slot bitmask and shared by every pair() call.  It sums
+    plain ints: gamma and each form are read as integer numerators over
+    one scale (read_scaled), and the value, whose scale is gamma's to the
+    power M-k times each form's, is rebuilt once (rebuild).
     """
     shape = gamma.shape
     L, N, full = shape.L, shape.N, shape.volume_mask
     if not gamma.is_zero() and gamma.grade != L:
         raise ValueError(f"the background needs grade {L}, got {gamma.grade}")
-    float_gamma = any(isinstance(c, float) for c in gamma.terms.values())
-    blocks = _exact_terms(gamma)
+    nums, gamma_scale = read_scaled(gamma.terms.values())
+    blocks = dict(zip(gamma.terms, nums))
     by_low: dict = {}  # lowest slot bit -> [(blade, coeff)]
     for mask, c in blocks.items():
         by_low.setdefault(mask & -mask, []).append((mask, c))
-    background: dict = {}  # slot set -> coefficient, None for zero
+    background: dict = {}  # slot set -> coefficient
 
-    def expand(S: int, blocks, inner):
+    def expand(S: int, blocks, inner) -> int:
         """Sum over the blocks B inside S of sign * c_B * inner(S ^ B)."""
-        total = None
+        total = 0
         for B, c in blocks:
-            if B & S != B or (rest := inner(S ^ B)) is None:
+            if B & S != B or not (rest := inner(S ^ B)):
                 continue
             # even grade: e_B ^ e_R = e_R ^ e_B, and merge_sign loops over B's bits
-            term = c * rest if merge_sign(S ^ B, B) > 0 else -(c * rest)
-            total = term if total is None else total + term
+            total += c * rest if merge_sign(S ^ B, B) > 0 else -(c * rest)
         return total
 
-    def bg(S: int):
+    def bg(S: int) -> int:
         if S not in background:
             if S.bit_count() == L:
-                background[S] = blocks.get(S)
+                background[S] = blocks.get(S, 0)
             else:
                 background[S] = expand(S, by_low.get(S & -S, ()), bg)
         return background[S]
@@ -321,29 +288,29 @@ def star_pairing(gamma: Multivector):
         k = len(forms)
         if k > shape.M:
             raise ValueError(f"at most {shape.M} forms, got {k}")
+        scale = gamma_scale ** (shape.M - k)
+        terms = []
         for f in forms:
             if f.shape != shape or not (f.is_zero() or f.grade == L):
                 raise ValueError(f"star_pairing needs grade-{L} forms over {shape}")
-        terms = [_exact_terms(f) for f in forms]
+            nums, f_scale = read_scaled(f.terms.values())
+            terms.append(dict(zip(f.terms, nums)))
+            scale = scale * f_scale
         blades = [list(t.items()) for t in terms]
         memo: dict = {}
 
-        def rec(S: int):
+        def rec(S: int) -> int:
             j = (N - S.bit_count()) // L  # forms already placed
             if j >= k:
                 return bg(S)
             if S not in memo:
                 if S.bit_count() == L:
-                    memo[S] = terms[j].get(S)
+                    memo[S] = terms[j].get(S, 0)
                 else:
                     memo[S] = expand(S, blades[j], rec)
             return memo[S]
 
-        value = rec(full)
-        floats = float_gamma or any(isinstance(c, float) for f in forms for c in f.terms.values())
-        if value is None or scalar_is_zero(value):
-            return 0.0 if floats else rational(0)
-        return float(value) if floats else value
+        return rebuild(rec(full), scale)
 
     return pair
 
@@ -362,32 +329,23 @@ def pfaffian_classical(A):
     n = len(A)
     if n % 2 != 0:
         raise ValueError("Pfaffian needs even dimension")
-    float_mode = any(isinstance(A[i][j], float) for i in range(n) for j in range(n))
+    if any(len(row) != n for row in A):
+        raise ValueError("ragged array")
+    entries = [[rational(a) for a in row] for row in A]
     for i in range(n):
-        if len(A[i]) != n:
-            raise ValueError("ragged array")
         for j in range(n):
-            if float_mode:
-                scale = max(abs(A[i][j]), abs(A[j][i]), 1.0)
-                if abs(A[i][j] + A[j][i]) > 1e-12 * scale:
-                    raise ValueError(f"not antisymmetric at ({i},{j})")
-            else:
-                if rational(A[i][j]) != -rational(A[j][i]):
-                    raise ValueError(f"not antisymmetric at ({i},{j})")
-    if n == 0:
-        return 1.0 if float_mode else rational(1)
-
-    entries = [[A[i][j] if float_mode else rational(A[i][j]) for j in range(n)] for i in range(n)]
+            if entries[i][j] != -entries[j][i]:
+                raise ValueError(f"not antisymmetric at ({i},{j})")
     memo: dict = {}
 
     def pf(mask: int):
         if mask == 0:
-            return 1.0 if float_mode else rational(1)
+            return rational(1)
         if mask in memo:
             return memo[mask]
         idx = mask_to_degrees(mask)
         i = idx[0]
-        total = 0.0 if float_mode else rational(0)
+        total = rational(0)
         sign = 1
         for t in range(1, len(idx)):
             j = idx[t]
@@ -403,10 +361,9 @@ def pfaffian_classical(A):
 
 def fermion_vector(x, shape: ModelShape) -> Multivector:
     """Grade-1 vector with coefficient x^r on slot r."""
-    if not isinstance(x, float):
-        x = rational(x)
+    x = rational(x)
     terms = {}
-    power = x**0
+    power = rational(1)
     for r in range(shape.N):
         terms[1 << r] = power
         power = power * x
@@ -435,18 +392,12 @@ def omega(x, shape: ModelShape) -> Multivector:
     """The charge-L particle at location x: grade-L form with
     coefficient w_J * x^{sum(J) - L(L-1)/2} on blade J."""
     base_shift = shape.L * (shape.L - 1) // 2
-    float_mode = isinstance(x, float)
-    if not float_mode:
-        x = rational(x)
-    terms = {}
+    x = rational(x)
     # powers of x up to the largest degree sum, computed once
     max_e = shape.L * shape.N - shape.L * (shape.L + 1) // 2 - base_shift
-    powers = [x**0]
+    powers = [rational(1)]
     for _ in range(max_e):
         powers.append(powers[-1] * x)
-    for mask, (w, degsum) in blade_weights(shape).items():
-        e = degsum - base_shift
-        c = w * powers[e]
-        if not scalar_is_zero(c):
-            terms[mask] = c
+    # Multivector drops the zero coefficients (x = 0)
+    terms = {mask: w * powers[degsum - base_shift] for mask, (w, degsum) in blade_weights(shape).items()}
     return Multivector(shape, terms, shape.L)

@@ -7,6 +7,7 @@ engine is what the acceptance suite checks.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -231,8 +232,10 @@ def integrate_R1(
     M = shape.M
     wx = weight.density_float(x)
     if M == 1:
-        m0 = integrate_partition(weight, shape, "tensor_quadrature").estimate
-        return IntegrationReport(wx / m0, 0.0, 1, method, seed=seed)
+        # R_1 = w(x)/m_0, so the estimate of m_0 carries the relative error
+        m0 = integrate_partition(weight, shape, method, budget, seed, threads, nodes)
+        est = wx / m0.estimate
+        return dataclasses.replace(m0, estimate=est, std_error=abs(est) * m0.std_error / m0.estimate)
 
     def f_insert(Y: np.ndarray) -> np.ndarray:
         out = _interaction_array(Y, L2)

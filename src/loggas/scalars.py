@@ -1,9 +1,9 @@
 """Exact scalar arithmetic.
 
-Coefficients throughout the engine are arbitrary-precision rationals,
-gmpy2.mpq when available and fractions.Fraction otherwise.  Weights such
-as exp(-x^2) have moments that are rational multiples of one irrational
-constant; those are carried symbolically as Tagged values
+Inputs and results are arbitrary-precision rationals, gmpy2.mpq when
+available and fractions.Fraction otherwise.  Weights such as exp(-x^2)
+have moments that are rational multiples of one irrational constant;
+those are carried symbolically as Tagged values
 
     rational * symbol**power
 
@@ -11,10 +11,15 @@ so Gaussian computations stay exact.  Tags combine multiplicatively.
 Adding two nonzero scalars with different tag powers is an error: every
 observable computed here is homogeneous in the moments, so a mismatch
 means a formula was assembled wrong, not that rounding is needed.
+
+The exact cores sum on plain ints: read_scaled turns their inputs into
+integer numerators over one Scale, and rebuild turns an integer total
+back into the one output scalar.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 try:
     from gmpy2 import mpq as _mpq
@@ -193,11 +198,7 @@ def tagged(value, power: int, symbol: str = "sqrt_pi"):
 
 def as_float(x) -> float:
     """Numeric value of a rational, Tagged, or float scalar."""
-    if isinstance(x, Tagged):
-        return float(x)
-    if isinstance(x, float):
-        return x
-    return float(rational(x))
+    return float(x)
 
 
 def scalar_json(x):
@@ -217,3 +218,59 @@ def scalar_is_zero(x) -> bool:
     if isinstance(x, Tagged):
         return x.value == 0
     return x == 0
+
+
+@dataclass(frozen=True)
+class Scale:
+    """The factor shared by the inputs of an integer sum: each input is
+    numerator/den * symbol**power; floats is set when one was a float."""
+
+    den: int = 1
+    power: int = 0
+    symbol: str | None = None
+    floats: bool = False
+
+    def __mul__(self, other: "Scale") -> "Scale":
+        if self.symbol and other.symbol and self.symbol != other.symbol:
+            raise ScaleMismatchError(f"scale symbols differ: {self.symbol} vs {other.symbol}")
+        return Scale(
+            self.den * other.den,
+            self.power + other.power,
+            self.symbol or other.symbol,
+            self.floats or other.floats,
+        )
+
+    def __pow__(self, n: int) -> "Scale":
+        return Scale(self.den**n, self.power * n, self.symbol, self.floats)
+
+
+def read_scaled(values) -> tuple:
+    """(nums, scale) with values[i] == nums[i]/scale.den * symbol**scale.power
+    and every nums[i] a plain int.  Floats are read as the dyadic rationals
+    they are.  The nonzero values must share one tag (a plain value has
+    power 0): a mix raises ScaleMismatchError."""
+    exact, tag, floats = [], None, False
+    for v in values:
+        t = (0, None)
+        if isinstance(v, Tagged):
+            v, t = v.value, (v.power, v.symbol)
+        elif isinstance(v, float):
+            v, floats = Fraction(v), True
+        if v:
+            if tag is None:
+                tag = t
+            elif t != tag:
+                raise ScaleMismatchError(f"mixed (power, symbol) scales in one sum: {t} and {tag}")
+        exact.append(v)
+    den = math.lcm(*(int(v.denominator) for v in exact))
+    nums = [int(v.numerator) * (den // int(v.denominator)) for v in exact]
+    return nums, Scale(den, *(tag or (0, None)), floats)
+
+
+def rebuild(total: int, scale: Scale):
+    """The scalar total/scale.den * symbol**power: a rational, a Tagged, or a
+    float rounded once when an input was a float.  Zero is a plain 0 (0.0)."""
+    if not total:
+        return 0.0 if scale.floats else rational(0)
+    v = tagged(_mpq(total, scale.den), scale.power, scale.symbol)
+    return as_float(v) if scale.floats else v

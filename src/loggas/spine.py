@@ -12,7 +12,6 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .exterior import (
     wedge,
     zero_multivector,
 )
-from .scalars import Tagged, rational, tagged
+from .scalars import Scale, rational, read_scaled, rebuild
 
 # guard for structure_table: refuse shapes whose blade space at grade L
 # is too large to expand over
@@ -40,10 +39,7 @@ def epsilon(p: int, shape: ModelShape) -> Multivector:
     renormalized Vandermonde weights.  Zero for |p| > K."""
     if abs(p) > shape.K:
         return zero_multivector(shape)
-    terms = {}
-    for mask, (w, _) in blade_weights(shape).items():
-        if blade_momentum(mask, shape) == p:
-            terms[mask] = rational(w)
+    terms = {mask: w for mask, (w, _) in blade_weights(shape).items() if blade_momentum(mask, shape) == p}
     return Multivector(shape, terms, shape.L)
 
 
@@ -81,17 +77,13 @@ class StructureTable:
         return self._moment_pass(moments, gradient=True)
 
     def _moment_pass(self, moments, gradient: bool) -> dict:
-        """Z (key None) or every A_q on Python ints: with mhat_p = num[p]/den,
-        C_P (M-k)!/mult(P) (times count_q(P) for A_q, k = 1) is an integer.
-        The scalar is rebuilt once, Tagged with power M - k, or rounded once
-        if a moment is a float (read as the dyadic rational it is)."""
+        """Z (key None) or every A_q on Python ints: with the mhat_p read as
+        integer numerators num[p] over one scale (read_scaled), C_P (M-k)!/mult(P)
+        (times count_q(P) for A_q, k = 1) is an integer.  Each value, of scale
+        (moment scale)^(M-k)/(M-k)!, is rebuilt once (rebuild)."""
         K, M = self.shape.K, self.shape.M
-        vals = [moments.mhat(p, K) for p in range(-K, K + 1)]
-        floats = any(isinstance(v, float) for v in vals)
-        symbol = next((v.symbol for v in vals if isinstance(v, Tagged)), None)
-        exact = [Fraction(v) if isinstance(v, float) else v.value if isinstance(v, Tagged) else v for v in vals]
-        den = math.lcm(*(int(v.denominator) for v in exact))
-        num = {p: int(v.numerator) * (den // int(v.denominator)) for p, v in zip(range(-K, K + 1), exact)}
+        nums, scale = read_scaled([moments.mhat(p, K) for p in range(-K, K + 1)])
+        num = dict(zip(range(-K, K + 1), nums))
         k = 1 if gradient else 0
         f = math.factorial(M - k)
         sums = dict.fromkeys(range(-K, K + 1) if gradient else (None,), 0)
@@ -104,11 +96,8 @@ class StructureTable:
                     sums[q] += math.prod((num[p] for p in rest), start=c * key.count(q) // mult)
             else:
                 sums[None] += math.prod((num[p] for p in key), start=c // mult)
-        out = {}
-        for q, total in sums.items():
-            v = rational(total) / (den ** (M - k) * f)
-            out[q] = float(v) if floats else tagged(v, M - k, symbol) if symbol else v
-        return out
+        scale = scale ** (M - k) * Scale(f)
+        return {q: rebuild(total, scale) for q, total in sums.items()}
 
     def __eq__(self, other):
         if not isinstance(other, StructureTable):

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ensemble import MomentRangeError, MomentSequence, gram_form, partition_function
-from .exterior import ModelShape, star_pairing
+from .ensemble import MomentRangeError, MomentSequence, moment_pairing, partition_function
+from .exterior import ModelShape
 from .scalars import rational, scalar_is_zero, scalar_json
 from .spine import epsilon
 
@@ -39,9 +39,7 @@ class LaurentPolynomial:
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(self.coeffs[e] == other.coeffs[e] for e in self.coeffs)
+        return self.coeffs == other.coeffs
 
     def __add__(self, other):
         acc = dict(self.coeffs)
@@ -63,7 +61,7 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def evaluate(self, z):
-        z = z if isinstance(z, float) else rational(z)
+        z = rational(z)
         total = None
         for e, c in self.coeffs.items():
             term = c * z**e
@@ -121,9 +119,9 @@ def _star_against(pair, mode):
 def psi_minus(moments: MomentSequence, shape: ModelShape) -> LaurentPolynomial:
     """Insertion wave function: sum_p z^{p+K} A_p with
     A_p = star_M(eps_p ^ gamma^{^(M-1)}/(M-1)!)."""
-    pair = star_pairing(gram_form(moments, shape))
+    pair, out = moment_pairing(moments, shape)
     return LaurentPolynomial(
-        {p + shape.K: _star_against(pair, epsilon(p, shape)) for p in range(-shape.K, shape.K + 1)}
+        {p + shape.K: out(_star_against(pair, epsilon(p, shape))) for p in range(-shape.K, shape.K + 1)}
     )
 
 
@@ -154,17 +152,16 @@ def psi_plus(
         raise MomentRangeError(
             f"psi_plus needs moments through m_{k_cut + 2 * Kp}, have D={moments_plus.D}"
         )
-    pair = star_pairing(gram_form(moments_plus, plus))
+    pair, out = moment_pairing(moments_plus, plus)
+    exact = moments_plus.exact()
     G = {p: _star_against(pair, epsilon(p, plus)) for p in range(-Kp, Kp + 1)}
     L2 = shape.L * shape.L
     coeffs = {}
     for k in range(1, k_cut + 1):
         total = rational(0)
         for p in range(-Kp, Kp + 1):
-            if scalar_is_zero(G[p]):
-                continue
-            total = total + moments_plus.mhat(k + p, Kp) * G[p]
-        coeffs[-k] = math.comb(L2 + k - 1, k) * total
+            total = total + exact.mhat(k + p, Kp) * G[p]
+        coeffs[-k] = out(math.comb(L2 + k - 1, k) * total)
     return LaurentPolynomial(coeffs)
 
 
@@ -176,7 +173,8 @@ def extraction_evaluate(q: int, moments_plus: MomentSequence, shape: ModelShape)
     """
     if abs(q) > shape.K:
         return rational(0)
-    return _star_against(star_pairing(gram_form(moments_plus, shape)), epsilon(q, shape))
+    pair, out = moment_pairing(moments_plus, shape)
+    return out(_star_against(pair, epsilon(q, shape)))
 
 
 def hirota_residual(

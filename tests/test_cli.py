@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,17 @@ def test_partition_float_moments_file_routes_agree(capsys, tmp_path, M):
     doc = json.loads(out)
     assert code == 0 and doc["routes_agree"] is True
     assert isinstance(doc["Z"], float) and doc["Z"] > 0
+
+
+def test_partition_tagged_zero_routes_agree(capsys, tmp_path):
+    # a tagged moment file whose Z vanishes: both routes print a plain 0
+    path = tmp_path / "moments.json"
+    scale = {"symbol": "sqrt_pi", "float": 1.77}
+    path.write_text(json.dumps({"scale": scale, "moments": ["1", "0", "0", "0", "0"]}))
+    code, out, _ = run(capsys, "partition", "--L", "2", "--M", "2", "--moments-file", str(path))
+    doc = json.loads(out)
+    assert code == 0 and doc["routes_agree"] is True
+    assert doc["Z"] == doc["Z_structure_poly"] == "0"
 
 
 def test_partition_float_mode_converts_exact_value(capsys):
@@ -223,6 +235,19 @@ def test_oracle_r1_quadrature(capsys):
     )
     assert code == 0
     assert json.loads(out)["estimate"] == pytest.approx(3 / 8, rel=1e-12)
+
+
+def test_oracle_r1_monte_carlo_one_particle(capsys):
+    # at M = 1, R_1 = w(x)/m_0 with m_0 estimated by the asked-for method
+    code, out, _ = run(
+        capsys, "oracle", "--L", "2", "--M", "1", "--weight", "gaussian",
+        "--which", "r1", "--method", "monte_carlo", "--budget", "1000", "--x", "1/2",
+    )
+    doc = json.loads(out)
+    assert code == 0 and doc["method"] == "monte_carlo"
+    assert doc["samples_or_nodes"] == doc["budget"] == 1000
+    exact = math.exp(-0.25) / math.sqrt(math.pi)
+    assert 0 < doc["std_error"] and abs(doc["estimate"] - exact) < 5 * doc["std_error"]
 
 
 def test_usage_error_bad_weight(capsys):

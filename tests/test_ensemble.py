@@ -14,6 +14,7 @@ from loggas.ensemble import (
 )
 from loggas.exterior import ModelShape, Multivector, hyperpfaffian, mask_to_degrees
 from loggas.scalars import Tagged, as_float, rational
+from loggas.tau import extraction_evaluate, psi_minus, psi_plus
 
 S22 = ModelShape(2, 2)
 S23 = ModelShape(2, 3)
@@ -246,3 +247,29 @@ def test_uniform_validation():
         NamedWeight.uniform(1, 0)
     with pytest.raises(ValueError):
         NamedWeight.uniform(2, 2)
+
+
+@pytest.mark.parametrize("L,M", [(4, 3), (2, 5)])
+def test_float_moments_are_read_exactly_by_every_pairing(L, M):
+    # gram_form rounds w_J * m_k on float moments; every entry point pairs
+    # the dyadic moments instead and rounds each value once
+    shape, plus = ModelShape(L, M), ModelShape(L, M + 1)
+    floats = UNIFORM.moments(2 * shape.K + 2 * plus.K).as_float()
+    dyadic = MomentSequence([Fraction(v) for v in floats.values])
+
+    def close(got, exact):
+        assert isinstance(got, float) and got == pytest.approx(as_float(exact), rel=1e-12, abs=0)
+
+    close(partition_function(floats, shape), partition_function(dyadic, shape))
+    close(r1_normalization(floats, shape), r1_normalization(dyadic, shape))
+    for q in (-shape.K, 1, shape.K):
+        close(extraction_evaluate(q, floats, shape), extraction_evaluate(q, dyadic, shape))
+    x = Fraction(1, M + 3)
+    close(
+        correlation([x], NamedWeight.from_moments(floats), shape, weightless=True),
+        correlation([x], NamedWeight.from_moments(dyadic), shape, weightless=True),
+    )
+    for got, exact in ((psi_minus(floats, shape), psi_minus(dyadic, shape)), (psi_plus(floats, shape), psi_plus(dyadic, shape))):
+        assert got.coeffs.keys() == exact.coeffs.keys()
+        for e, c in exact.coeffs.items():
+            close(got.coefficient(e), c)

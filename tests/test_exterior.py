@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from loggas.exterior import (
@@ -19,7 +21,7 @@ from loggas.exterior import (
     wedge,
     zero_multivector,
 )
-from loggas.scalars import Tagged, rational
+from loggas.scalars import ScaleMismatchError, Tagged, rational
 from loggas.spine import epsilon
 
 S22 = ModelShape(2, 2)
@@ -94,9 +96,17 @@ def test_multivector_normalization():
 
 
 def test_multivector_canonical_order():
-    # lexicographic on degree tuples: {0,3} before {1,2}
+    # serialized lexicographic on degree tuples: {0,3} before {1,2}
     mv = Multivector(S22, {degrees_to_mask([1, 2]): rational(1), degrees_to_mask([0, 3]): rational(3)})
-    assert [mask_to_degrees(m) for m in mv.terms] == [(0, 3), (1, 2)]
+    assert list(mv.to_json_dict()) == ["0,3", "1,2"]
+
+
+def test_multivector_order_free_hash_and_json():
+    terms = {degrees_to_mask(d): rational(c) for d, c in (([2, 3], 5), ([0, 1], 2), ([1, 3], -1))}
+    a = Multivector(S22, terms)
+    b = Multivector(S22, dict(reversed(terms.items())))
+    assert a == b and hash(a) == hash(b)
+    assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
 
 def test_multivector_immutable():
@@ -153,6 +163,16 @@ def test_star_pairing_rejects_bad_forms():
         pair((basis_blade(S22, [0]),))
     with pytest.raises(ValueError):
         pair((epsilon(0, S22),) * 3)
+
+
+def test_star_pairing_rejects_mixed_scales():
+    # e_{0,1} meets no block of eps_0, so no sum ever adds the two terms:
+    # the scale is read, and refused, before the recursion runs
+    mixed = basis_blade(S22, [0, 3], Tagged(2, 1)) + basis_blade(S22, [0, 1])
+    with pytest.raises(ScaleMismatchError):
+        star_pairing(epsilon(0, S22))((mixed,))
+    with pytest.raises(ScaleMismatchError):
+        star_pairing(mixed)(())
 
 
 def test_pfaffian_classical():
