@@ -42,7 +42,6 @@ from .ensemble import (
 )
 from .tau import (
     LaurentPolynomial,
-    WavePair,
     extraction_evaluate,
     hirota_residual,
     miwa_negative_moments,
@@ -50,7 +49,6 @@ from .tau import (
     psi_plus,
     tau,
     transport_spectrum,
-    wave_pair,
 )
 from .oracle import (
     IntegrationReport,
@@ -71,7 +69,6 @@ __all__ = [
     "StructureTable",
     "ToeplitzOperator",
     "LaurentPolynomial",
-    "WavePair",
     "IntegrationReport",
     "Tagged",
     "ScaleMismatchError",
@@ -107,7 +104,6 @@ __all__ = [
     "extraction_evaluate",
     "hirota_residual",
     "transport_spectrum",
-    "wave_pair",
     "direct_interaction",
     "integrate_partition",
     "integrate_R1",

@@ -3,9 +3,9 @@
 Every subcommand is a thin adapter over the library; no algebra lives
 here.  Exit codes: 0 success, 1 failed verification, 2 usage error.
 Output is deterministic for a fixed seed: reports carry no timestamps
-or host info, exact sweeps run serially, and --threads only sizes the
-numeric oracles' worker pool, so JSON bytes are identical at any
---threads value.
+or host info, exact sweeps run serially, and --threads (on the verify-*
+sweeps and the oracle) only sizes the numeric oracles' worker pool, so
+JSON bytes are identical at any --threads value.
 """
 from __future__ import annotations
 
@@ -335,11 +335,12 @@ def _verdict(args, name: str, shape: ModelShape, checks: list, extra: dict | Non
 # -------------------------------------------------------------------- main
 
 
-def _add_common(p, weight=False, seed=False, trials=None):
+def _add_common(p, weight=False, seed=False, trials=None, threads=False):
     p.add_argument("--L", type=int, required=True, help="particle charge (even)")
     p.add_argument("--M", type=int, required=True, help="particle count")
     p.add_argument("--out", help="write JSON here instead of stdout")
-    p.add_argument("--threads", type=int, default=1, help="worker pool size of the numeric oracles")
+    if threads:
+        p.add_argument("--threads", type=int, default=1, help="worker pool size of the numeric oracles")
     if weight:
         p.add_argument("--weight", help="uniform:a,b or gaussian")
         p.add_argument("--moments-file", help="JSON moment-sequence file")
@@ -391,25 +392,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_psi)
 
     p = sub.add_parser("verify-confluent", help="confluent Vandermonde identity")
-    _add_common(p, seed=True, trials=20)
+    _add_common(p, seed=True, trials=20, threads=True)
     p.set_defaults(fn=cmd_verify_confluent)
 
     p = sub.add_parser("verify-plucker", help="momentum Plucker residuals")
-    _add_common(p)
+    _add_common(p, threads=True)
     p.add_argument("--j-max", type=int, default=None, help="highest fold count (default M)")
     p.set_defaults(fn=cmd_verify_plucker)
 
     p = sub.add_parser("verify-toeplitz", help="Toeplitz-substituted residuals")
-    _add_common(p, seed=True, trials=20)
+    _add_common(p, seed=True, trials=20, threads=True)
     p.set_defaults(fn=cmd_verify_toeplitz)
 
     p = sub.add_parser("verify-adjunction", help="extraction vs table expansion")
-    _add_common(p, seed=True, trials=20)
+    _add_common(p, seed=True, trials=20, threads=True)
     p.add_argument("--no-cache", action="store_true")
     p.set_defaults(fn=cmd_verify_adjunction)
 
     p = sub.add_parser("verify-hirota", help="bilinear residue [z^0] psi- psi+")
-    _add_common(p, seed=True, trials=50)
+    _add_common(p, seed=True, trials=50, threads=True)
     p.add_argument("--k-cut", type=int, default=None)
     p.set_defaults(fn=cmd_verify_hirota)
 
@@ -420,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_transport_spectrum)
 
     p = sub.add_parser("oracle", help="numeric integration oracles")
-    _add_common(p, weight=True, seed=True)
+    _add_common(p, weight=True, seed=True, threads=True)
     p.add_argument("--which", choices=["partition", "r1"], default="partition")
     p.add_argument(
         "--method",

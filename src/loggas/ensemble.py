@@ -24,21 +24,31 @@ class MomentRangeError(IndexError):
 class MomentSequence:
     """m_0 .. m_D, exact rationals with an optional common scale tag.
 
-    values may also be floats (oracle output), which the pairings read as
-    dyadic rationals.  Shifted access mhat(p, K) = m_{p+K} is legal for
+    The one numeric input, and the only code that knows a value was a
+    float.  Each float (oracle output, a JSON number) is read once, as the
+    dyadic rational it is; a non-finite one raises ValueError.  A sequence
+    read from floats records that (floats), and result() rounds a value
+    derived from it once.  Shifted access mhat(p, K) = m_{p+K} is legal for
     p in [-K, D-K] and raises outside that window.
     """
 
-    __slots__ = ("values", "scale_symbol")
+    __slots__ = ("values", "scale_symbol", "floats")
 
     def __init__(self, values, scale_symbol: str | None = None):
-        vals = tuple(v if isinstance(v, float) else rational(v) for v in values)
+        vals, floats = [], False
+        for v in values:
+            if isinstance(v, float):
+                if not math.isfinite(v):
+                    raise ValueError(f"non-finite moment {v!r}")
+                v, floats = Fraction(v), True
+            vals.append(rational(v))
         if not vals:
             raise ValueError("empty moment sequence")
         if scale_symbol is not None and scale_symbol not in SCALE_FLOATS:
             raise ValueError(f"unknown scale symbol {scale_symbol!r}")
-        self.values = vals
+        self.values = tuple(vals)
         self.scale_symbol = scale_symbol
+        self.floats = floats
 
     @property
     def D(self) -> int:
@@ -48,9 +58,7 @@ class MomentSequence:
         if not 0 <= k <= self.D:
             raise MomentRangeError(f"m_{k} outside stored range 0..{self.D}")
         v = self.values[k]
-        if self.scale_symbol is None or isinstance(v, float):
-            return v
-        return Tagged(v, 1, self.scale_symbol)
+        return v if self.scale_symbol is None else Tagged(v, 1, self.scale_symbol)
 
     def mhat(self, p: int, K: int):
         if not -K <= p <= self.D - K:
@@ -59,15 +67,19 @@ class MomentSequence:
             )
         return self.m(p + K)
 
+    def result(self, value):
+        """A value computed exactly from these moments, as it is returned:
+        rounded once to a float when they were read from floats."""
+        return as_float(value) if self.floats else value
+
+    def derived(self, values) -> "MomentSequence":
+        """Exact values computed from this sequence, as a sequence of the
+        same scale, rounded to floats when this one was read from floats."""
+        return MomentSequence([as_float(v) for v in values] if self.floats else values, self.scale_symbol)
+
     def scaled(self, c) -> "MomentSequence":
         c = rational(c)
-        return MomentSequence([v * c for v in self.values], self.scale_symbol)
-
-    def exact(self) -> "MomentSequence":
-        """This sequence with each float read as the dyadic rational it is."""
-        return MomentSequence(
-            [Fraction(v) if isinstance(v, float) else v for v in self.values], self.scale_symbol
-        )
+        return self.derived([v * c for v in self.values])
 
     def as_float(self) -> "MomentSequence":
         scale = SCALE_FLOATS[self.scale_symbol] if self.scale_symbol else 1.0
@@ -76,18 +88,14 @@ class MomentSequence:
     def __eq__(self, other):
         if not isinstance(other, MomentSequence):
             return NotImplemented
-        return self.values == other.values and self.scale_symbol == other.scale_symbol
+        return (self.values, self.scale_symbol, self.floats) == (other.values, other.scale_symbol, other.floats)
 
     def to_json_dict(self) -> dict:
         scale = None
         if self.scale_symbol is not None:
             scale = {"symbol": self.scale_symbol, "float": SCALE_FLOATS[self.scale_symbol]}
-        return {
-            "scale": scale,
-            "moments": [
-                v if isinstance(v, float) else format_rational(v) for v in self.values
-            ],
-        }
+        write = float if self.floats else format_rational
+        return {"scale": scale, "moments": [write(v) for v in self.values]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MomentSequence":
@@ -172,7 +180,8 @@ class NamedWeight:
 
 def gram_form(moments: MomentSequence, shape: ModelShape, route: str = "blade") -> Multivector:
     """gamma = sum_p mhat_p eps_p; blade route uses the equivalent
-    closed form Gr_J = w_J * m_{sum(J) - L(L-1)/2}."""
+    closed form Gr_J = w_J * m_{sum(J) - L(L-1)/2}.  Exact: a float
+    sequence gives the dyadic values it was read as."""
     if moments.D < 2 * shape.K:
         raise MomentRangeError(
             f"need moments through m_{2 * shape.K}, have D={moments.D}"
@@ -190,25 +199,14 @@ def gram_form(moments: MomentSequence, shape: ModelShape, route: str = "blade") 
     raise ValueError(f"unknown gram route {route!r}")
 
 
-def moment_pairing(moments: MomentSequence, shape: ModelShape):
-    """(pair, out): pair is the star_pairing of the background
-    gram_form(moments) with float moments read as the dyadic rationals
-    they are (gram_form would round w_J * m_k); out rounds a value
-    computed from the pairing once when they held floats, and returns it
-    unchanged otherwise."""
-    floats = any(isinstance(v, float) for v in moments.values)
-    return star_pairing(gram_form(moments.exact(), shape)), as_float if floats else (lambda v: v)
-
-
 def partition_function(moments: MomentSequence, shape: ModelShape, route: str = "hyperpfaffian"):
     """Z by either the hyperpfaffian of gamma or the structure-table
-    polynomial; the two must agree exactly.  Float moments are read as
-    the dyadic rationals they are and Z is rounded once."""
+    polynomial; the two must agree exactly.  Z is computed exactly and
+    returned through moments.result."""
     if route == "hyperpfaffian":
-        pair, out = moment_pairing(moments, shape)
-        return out(pair(()))
+        return moments.result(star_pairing(gram_form(moments, shape))(()))
     if route == "structure_poly":
-        return structure_table(shape).evaluate(moments)
+        return moments.result(structure_table(shape).evaluate(moments))
     raise ValueError(f"unknown partition route {route!r}")
 
 
@@ -240,8 +238,9 @@ def correlation(
             if d is None:
                 raise ValueError("no exact pointwise weight; use weightless=True or float mode")
             w = w * d
-    pair, out = moment_pairing(weight.moments(2 * shape.K), shape)
-    ratio = out(pair(tuple(omega(x, shape) for x in xs)) / pair(()))
+    moments = weight.moments(2 * shape.K)
+    pair = star_pairing(gram_form(moments, shape))
+    ratio = moments.result(pair(tuple(omega(x, shape) for x in xs)) / pair(()))
     return w * as_float(ratio) if mode == "float" else w * ratio
 
 
@@ -251,5 +250,6 @@ def r1_normalization(moments: MomentSequence, shape: ModelShape):
     Integrating omega(x) against the weight turns it into gamma, so
     this is the x-integral of the unnormalized density; must equal M.
     """
-    pair, out = moment_pairing(moments, shape)
-    return out(pair((gram_form(moments.exact(), shape),)) / pair(()))
+    gamma = gram_form(moments, shape)
+    pair = star_pairing(gamma)
+    return moments.result(pair((gamma,)) / pair(()))

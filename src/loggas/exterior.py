@@ -6,9 +6,8 @@ serialized form and repr list blades in canonical (lexicographic on the
 degree tuple) order, so they are unique for a given value regardless of
 how it was assembled.
 
-Slot r carries monomial degree r.  The centered index of a slot, used
-only for display, is 2r - (N-1) (doubled so it stays an integer).  The
-momentum of an L-blade J is sum(J) - L(N-1)/2.
+Slot r carries monomial degree r.  The momentum of an L-blade J is
+sum(J) - L(N-1)/2.
 """
 from __future__ import annotations
 
@@ -44,9 +43,6 @@ class ModelShape:
     @property
     def volume_mask(self) -> int:
         return (1 << self.N) - 1
-
-    def centered_display(self, r: int) -> int:
-        return 2 * r - (self.N - 1)
 
 
 def superfactorial(L: int) -> int:

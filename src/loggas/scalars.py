@@ -14,7 +14,9 @@ means a formula was assembled wrong, not that rounding is needed.
 
 The exact cores sum on plain ints: read_scaled turns their inputs into
 integer numerators over one Scale, and rebuild turns an integer total
-back into the one output scalar.
+back into the one output scalar.  Both are exact only: read_scaled
+refuses a float.  Floats are read, and a derived value rounded, at the
+one numeric input, ensemble.MomentSequence.
 """
 from __future__ import annotations
 
@@ -223,39 +225,33 @@ def scalar_is_zero(x) -> bool:
 @dataclass(frozen=True)
 class Scale:
     """The factor shared by the inputs of an integer sum: each input is
-    numerator/den * symbol**power; floats is set when one was a float."""
+    numerator/den * symbol**power."""
 
     den: int = 1
     power: int = 0
     symbol: str | None = None
-    floats: bool = False
 
     def __mul__(self, other: "Scale") -> "Scale":
         if self.symbol and other.symbol and self.symbol != other.symbol:
             raise ScaleMismatchError(f"scale symbols differ: {self.symbol} vs {other.symbol}")
-        return Scale(
-            self.den * other.den,
-            self.power + other.power,
-            self.symbol or other.symbol,
-            self.floats or other.floats,
-        )
+        return Scale(self.den * other.den, self.power + other.power, self.symbol or other.symbol)
 
     def __pow__(self, n: int) -> "Scale":
-        return Scale(self.den**n, self.power * n, self.symbol, self.floats)
+        return Scale(self.den**n, self.power * n, self.symbol)
 
 
 def read_scaled(values) -> tuple:
     """(nums, scale) with values[i] == nums[i]/scale.den * symbol**scale.power
-    and every nums[i] a plain int.  Floats are read as the dyadic rationals
-    they are.  The nonzero values must share one tag (a plain value has
-    power 0): a mix raises ScaleMismatchError."""
-    exact, tag, floats = [], None, False
+    and every nums[i] a plain int.  The values are rationals or Tagged; a
+    float raises TypeError.  The nonzero values must share one tag (a plain
+    value has power 0): a mix raises ScaleMismatchError."""
+    exact, tag = [], None
     for v in values:
         t = (0, None)
         if isinstance(v, Tagged):
             v, t = v.value, (v.power, v.symbol)
         elif isinstance(v, float):
-            v, floats = Fraction(v), True
+            raise TypeError(f"float {v!r} in an exact sum; read floats in MomentSequence")
         if v:
             if tag is None:
                 tag = t
@@ -264,13 +260,12 @@ def read_scaled(values) -> tuple:
         exact.append(v)
     den = math.lcm(*(int(v.denominator) for v in exact))
     nums = [int(v.numerator) * (den // int(v.denominator)) for v in exact]
-    return nums, Scale(den, *(tag or (0, None)), floats)
+    return nums, Scale(den, *(tag or (0, None)))
 
 
 def rebuild(total: int, scale: Scale):
-    """The scalar total/scale.den * symbol**power: a rational, a Tagged, or a
-    float rounded once when an input was a float.  Zero is a plain 0 (0.0)."""
+    """The scalar total/scale.den * symbol**power: a rational or a Tagged.
+    Zero is a plain 0."""
     if not total:
-        return 0.0 if scale.floats else rational(0)
-    v = tagged(_mpq(total, scale.den), scale.power, scale.symbol)
-    return as_float(v) if scale.floats else v
+        return rational(0)
+    return tagged(_mpq(total, scale.den), scale.power, scale.symbol)

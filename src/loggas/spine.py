@@ -80,7 +80,8 @@ class StructureTable:
         """Z (key None) or every A_q on Python ints: with the mhat_p read as
         integer numerators num[p] over one scale (read_scaled), C_P (M-k)!/mult(P)
         (times count_q(P) for A_q, k = 1) is an integer.  Each value, of scale
-        (moment scale)^(M-k)/(M-k)!, is rebuilt once (rebuild)."""
+        (moment scale)^(M-k)/(M-k)!, is rebuilt once (rebuild) and is exact;
+        the caller rounds it through MomentSequence.result."""
         K, M = self.shape.K, self.shape.M
         nums, scale = read_scaled([moments.mhat(p, K) for p in range(-K, K + 1)])
         num = dict(zip(range(-K, K + 1), nums))

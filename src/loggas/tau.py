@@ -9,10 +9,9 @@ psi_plus, computed in the (M+1)-particle exterior algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .ensemble import MomentRangeError, MomentSequence, moment_pairing, partition_function
-from .exterior import ModelShape
+from .ensemble import MomentRangeError, MomentSequence, gram_form, partition_function
+from .exterior import ModelShape, star_pairing
 from .scalars import rational, scalar_is_zero, scalar_json
 from .spine import epsilon
 
@@ -77,13 +76,6 @@ class LaurentPolynomial:
         return {str(e): scalar_json(c) for e, c in self.coeffs.items()}
 
 
-@dataclass(frozen=True)
-class WavePair:
-    psi_minus: LaurentPolynomial
-    psi_plus: LaurentPolynomial
-    k_cut: int
-
-
 def tau(moments: MomentSequence, shape: ModelShape):
     """tau_M = star(gamma^{^M}/M!), the partition function with times
     folded into the moments."""
@@ -107,7 +99,7 @@ def miwa_negative_moments(moments: MomentSequence, z, shape: ModelShape) -> Mome
             term = math.comb(L2, j) * z ** (L2 - j) * moments.values[k + j]
             total = total + (term if j % 2 == 0 else -term)
         new_vals.append(zinv * total)
-    return MomentSequence(new_vals, moments.scale_symbol)
+    return moments.derived(new_vals)
 
 
 def _star_against(pair, mode):
@@ -119,9 +111,9 @@ def _star_against(pair, mode):
 def psi_minus(moments: MomentSequence, shape: ModelShape) -> LaurentPolynomial:
     """Insertion wave function: sum_p z^{p+K} A_p with
     A_p = star_M(eps_p ^ gamma^{^(M-1)}/(M-1)!)."""
-    pair, out = moment_pairing(moments, shape)
+    pair = star_pairing(gram_form(moments, shape))
     return LaurentPolynomial(
-        {p + shape.K: out(_star_against(pair, epsilon(p, shape))) for p in range(-shape.K, shape.K + 1)}
+        {p + shape.K: moments.result(_star_against(pair, epsilon(p, shape))) for p in range(-shape.K, shape.K + 1)}
     )
 
 
@@ -152,16 +144,15 @@ def psi_plus(
         raise MomentRangeError(
             f"psi_plus needs moments through m_{k_cut + 2 * Kp}, have D={moments_plus.D}"
         )
-    pair, out = moment_pairing(moments_plus, plus)
-    exact = moments_plus.exact()
+    pair = star_pairing(gram_form(moments_plus, plus))
     G = {p: _star_against(pair, epsilon(p, plus)) for p in range(-Kp, Kp + 1)}
     L2 = shape.L * shape.L
     coeffs = {}
     for k in range(1, k_cut + 1):
         total = rational(0)
         for p in range(-Kp, Kp + 1):
-            total = total + exact.mhat(k + p, Kp) * G[p]
-        coeffs[-k] = out(math.comb(L2 + k - 1, k) * total)
+            total = total + moments_plus.mhat(k + p, Kp) * G[p]
+        coeffs[-k] = moments_plus.result(math.comb(L2 + k - 1, k) * total)
     return LaurentPolynomial(coeffs)
 
 
@@ -173,8 +164,8 @@ def extraction_evaluate(q: int, moments_plus: MomentSequence, shape: ModelShape)
     """
     if abs(q) > shape.K:
         return rational(0)
-    pair, out = moment_pairing(moments_plus, shape)
-    return out(_star_against(pair, epsilon(q, shape)))
+    pair = star_pairing(gram_form(moments_plus, shape))
+    return moments_plus.result(_star_against(pair, epsilon(q, shape)))
 
 
 def hirota_residual(
@@ -206,14 +197,3 @@ def transport_spectrum(
     z^0 coefficient is the hirota_residual, every other coefficient is
     reported as a diagnostic channel."""
     return psi_minus(moments, shape) * psi_plus(moments_plus, shape, k_cut)
-
-
-def wave_pair(
-    moments: MomentSequence,
-    moments_plus: MomentSequence,
-    shape: ModelShape,
-    k_cut: int | None = None,
-) -> WavePair:
-    if k_cut is None:
-        k_cut = default_k_cut(shape)
-    return WavePair(psi_minus(moments, shape), psi_plus(moments_plus, shape, k_cut), k_cut)

@@ -71,6 +71,18 @@ def test_partition_tagged_zero_routes_agree(capsys, tmp_path):
     assert doc["Z"] == doc["Z_structure_poly"] == "0"
 
 
+def test_partition_tagged_float_file_routes_agree(capsys, tmp_path):
+    # float moments under a sqrt_pi scale are tagged alike on both routes:
+    # Z = 3/2 * sqrt_pi^2, rounded once
+    path = tmp_path / "moments.json"
+    scale = {"symbol": "sqrt_pi", "float": 1.77}
+    path.write_text(json.dumps({"scale": scale, "moments": [1.0, 0.0, 0.5, 0.0, 0.75]}))
+    code, out, _ = run(capsys, "partition", "--L", "2", "--M", "2", "--moments-file", str(path))
+    doc = json.loads(out)
+    assert code == 0 and doc["routes_agree"] is True
+    assert doc["Z"] == doc["Z_structure_poly"] == 4.712388980384689
+
+
 def test_partition_float_mode_converts_exact_value(capsys):
     # (2,5) on uniform[0,1]: summing float moments loses ~3% here, so the
     # float result must be the exact Z converted once
@@ -287,15 +299,23 @@ def test_usage_error_weight_and_moments_file(capsys, tmp_path):
     "argv",
     [
         ["correlate", "--L", "2", "--M", "2", "--weight", "uniform:0,1", "--points", "1/0"],
-        ["partition", "--L", "2", "--M", "2", "--moments-file", "{missing}"],
+        ["partition", "--L", "2", "--M", "2", "--moments-file", "{dir}/missing.json"],
+        ["partition", "--L", "2", "--M", "2", "--moments-file", "{dir}/Infinity.json"],
+        ["partition", "--L", "2", "--M", "2", "--moments-file", "{dir}/-Infinity.json"],
+        ["partition", "--L", "2", "--M", "2", "--moments-file", "{dir}/NaN.json"],
         ["oracle", "--L", "2", "--M", "2", "--weight", "uniform:0,1", "--budget", "1"],
         ["verify-confluent", "--L", "2", "--M", "2", "--trials", "0"],
         ["verify-toeplitz", "--L", "2", "--M", "2", "--threads", "0"],
     ],
-    ids=["points-zero-denominator", "missing-moments-file", "budget-1", "trials-0", "threads-0"],
+    ids=[
+        "points-zero-denominator", "missing-moments-file", "infinite-moment", "negative-infinite-moment",
+        "nan-moment", "budget-1", "trials-0", "threads-0",
+    ],
 )
 def test_usage_error_bad_input(capsys, tmp_path, argv):
-    argv = [a.format(missing=tmp_path / "missing.json") for a in argv]
+    for m0 in ("Infinity", "-Infinity", "NaN"):
+        (tmp_path / f"{m0}.json").write_text('{"scale": null, "moments": [%s, 0.0, 0.5, 0.0, 0.75]}' % m0)
+    argv = [a.format(dir=tmp_path) for a in argv]
     try:
         code = main(argv)
     except SystemExit as e:  # argparse rejects the value itself

@@ -39,11 +39,6 @@ def test_shape_validation():
     assert ModelShape(4, 3).K == 16
 
 
-def test_centered_display_index():
-    # doubled-centered indices for N=4: -3, -1, 1, 3
-    assert [S22.centered_display(r) for r in range(4)] == [-3, -1, 1, 3]
-
-
 def test_superfactorial():
     assert superfactorial(2) == 1
     assert superfactorial(4) == 12
@@ -144,15 +139,15 @@ def test_hyperpfaffian_simple():
 
 
 def test_star_pairing_keeps_scalar_types():
-    # the sqrt(pi) tag and floats pass through; a vanishing value is a
-    # plain zero of the input's kind
+    # the sqrt(pi) tag passes through, floats are refused (they are read
+    # in MomentSequence), and a vanishing value is a plain zero
     tagged = basis_blade(S22, [0, 1], Tagged(2, 1)) + basis_blade(S22, [2, 3], Tagged(3, 1))
     assert star_pairing(tagged)(()) == Tagged(6, 2)
     floats = Multivector(S22, {0b0011: 2.0, 0b1100: 3.0})
-    assert star_pairing(floats)(()) == 6.0
-    assert star_pairing(floats)((basis_blade(S22, [0, 1]),)) == 3.0
-    vanishing = star_pairing(Multivector(S22, {0b0011: 2.0}))(())
-    assert vanishing == 0.0 and isinstance(vanishing, float)
+    with pytest.raises(TypeError):
+        star_pairing(floats)
+    with pytest.raises(TypeError):
+        star_pairing(epsilon(0, S22))((floats,))
     zero = star_pairing(tagged)((basis_blade(S22, [0, 2]),))
     assert zero == 0 and not isinstance(zero, (Tagged, float))
 

@@ -14,7 +14,6 @@ from loggas.tau import (
     psi_plus,
     tau,
     transport_spectrum,
-    wave_pair,
 )
 
 S22 = ModelShape(2, 2)
@@ -231,23 +230,13 @@ def test_transport_spectrum_single_particle_no_z0():
     assert all(e < 0 for e in spec.coeffs)
 
 
-def test_wave_pair():
-    t = UNIFORM.moments(4)
-    tp = UNIFORM.moments(4 + 2 * ModelShape(2, 3).K)
-    wp = wave_pair(t, tp, S22)
-    assert wp.k_cut == 4
-    assert wp.psi_minus.coefficient(0) == rational("1/5")
-    assert wp.psi_plus.coefficient(-1) != rational(0)
-
-
 def test_gaussian_wave_pair_tags():
     g = NamedWeight.gaussian()
     t = g.moments(4)
     tp = g.moments(4 + 2 * ModelShape(2, 3).K)
-    wp = wave_pair(t, tp, S22)
     # A_p carries scale^(M-1), B_k scale^(M+1)
-    a = wp.psi_minus.coefficient(2)
-    b = wp.psi_plus.coefficient(-2)
+    a = psi_minus(t, S22).coefficient(2)
+    b = psi_plus(tp, S22).coefficient(-2)
     assert isinstance(a, Tagged) and a.power == 1
     assert isinstance(b, Tagged) and b.power == 3
     res = hirota_residual(t, tp, S22)
