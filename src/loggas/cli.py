@@ -228,7 +228,9 @@ def cmd_verify_confluent(args) -> int:
 def cmd_verify_plucker(args) -> int:
     shape = _shape(args)
     j_max = args.j_max if args.j_max is not None else shape.M
-    jobs = [(j, n) for j in (2, *range(3, j_max + 1)) for n in range(-j * shape.K, j * shape.K + 1)]
+    if j_max < 2:
+        raise UsageError(f"--j-max must be at least 2, got {j_max}")
+    jobs = [(j, n) for j in range(2, j_max + 1) for n in range(-j * shape.K, j * shape.K + 1)]
 
     def check(job):
         j, n = job

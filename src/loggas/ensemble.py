@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exterior import ModelShape, Multivector, blade_weights, omega, star_pairing
 from .scalars import SCALE_FLOATS, Tagged, as_float, format_rational, rational
-from .spine import epsilon, structure_table
+from .spine import structure_table
 
 
 class MomentRangeError(IndexError):
@@ -26,10 +26,10 @@ class MomentSequence:
 
     The one numeric input, and the only code that knows a value was a
     float.  Each float (oracle output, a JSON number) is read once, as the
-    dyadic rational it is; a non-finite one raises ValueError.  A sequence
-    read from floats records that (floats), and result() rounds a value
-    derived from it once.  Shifted access mhat(p, K) = m_{p+K} is legal for
-    p in [-K, D-K] and raises outside that window.
+    dyadic rational it is; a non-finite float or a bool raises ValueError.
+    A sequence read from floats records that (floats), and result() rounds
+    a value derived from it once.  Shifted access mhat(p, K) = m_{p+K} is
+    legal for p in [-K, D-K] and raises outside that window.
     """
 
     __slots__ = ("values", "scale_symbol", "floats")
@@ -37,6 +37,8 @@ class MomentSequence:
     def __init__(self, values, scale_symbol: str | None = None):
         vals, floats = [], False
         for v in values:
+            if isinstance(v, bool):
+                raise ValueError(f"boolean moment {v!r}")
             if isinstance(v, float):
                 if not math.isfinite(v):
                     raise ValueError(f"non-finite moment {v!r}")
@@ -99,6 +101,8 @@ class MomentSequence:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MomentSequence":
+        if not isinstance(data, dict):
+            raise ValueError(f"a moments file holds a JSON object, not {type(data).__name__}")
         scale = data.get("scale")
         symbol = scale["symbol"] if scale else None
         return cls(list(data["moments"]), symbol)
@@ -178,25 +182,16 @@ class NamedWeight:
         return self.kind
 
 
-def gram_form(moments: MomentSequence, shape: ModelShape, route: str = "blade") -> Multivector:
-    """gamma = sum_p mhat_p eps_p; blade route uses the equivalent
-    closed form Gr_J = w_J * m_{sum(J) - L(L-1)/2}.  Exact: a float
-    sequence gives the dyadic values it was read as."""
-    if moments.D < 2 * shape.K:
-        raise MomentRangeError(
-            f"need moments through m_{2 * shape.K}, have D={moments.D}"
-        )
-    if route == "blade":
-        shift = shape.L * (shape.L - 1) // 2
-        terms = {mask: w * moments.m(degsum - shift) for mask, (w, degsum) in blade_weights(shape).items()}
-        return Multivector(shape, terms, shape.L)
-    if route == "modes":
-        out = None
-        for p in range(-shape.K, shape.K + 1):
-            piece = epsilon(p, shape).scale(moments.mhat(p, shape.K))
-            out = piece if out is None else out + piece
-        return out
-    raise ValueError(f"unknown gram route {route!r}")
+def gram_form(moments: MomentSequence, shape: ModelShape) -> Multivector:
+    """gamma = sum_p mhat_p eps_p: coefficient w_J * mhat_{p_J} on each
+    L-blade J.  Exact: a float sequence gives the dyadic values it was
+    read as."""
+    K = shape.K
+    if moments.D < 2 * K:
+        raise MomentRangeError(f"need moments through m_{2 * K}, have D={moments.D}")
+    mhat = {p: moments.mhat(p, K) for p in range(-K, K + 1)}
+    terms = {mask: w * mhat[p] for mask, (w, p) in blade_weights(shape).items()}
+    return Multivector(shape, terms, shape.L)
 
 
 def partition_function(moments: MomentSequence, shape: ModelShape, route: str = "hyperpfaffian"):

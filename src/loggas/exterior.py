@@ -7,7 +7,7 @@ degree tuple) order, so they are unique for a given value regardless of
 how it was assembled.
 
 Slot r carries monomial degree r.  The momentum of an L-blade J is
-sum(J) - L(N-1)/2.
+sum(J) - L(N-1)/2; blade_weights tabulates it beside the blade's weight.
 """
 from __future__ import annotations
 
@@ -87,8 +87,9 @@ def merge_sign(a: int, b: int) -> int:
 
 
 def blade_momentum(mask: int, shape: ModelShape) -> int:
-    """Centered degree sum of a blade.  Integer whenever the grade is
-    even (the only grades the momentum algebra uses)."""
+    """Centered degree sum of a blade, at any grade.  Integer whenever the
+    grade is even (the only grades the momentum algebra uses).  The
+    reference for the L-blade momenta stored by blade_weights."""
     degsum = sum(mask_to_degrees(mask))
     grade = mask.bit_count()
     twice = 2 * degsum - grade * (shape.N - 1)
@@ -368,10 +369,12 @@ def fermion_vector(x, shape: ModelShape) -> Multivector:
 
 @lru_cache(maxsize=None)
 def blade_weights(shape: ModelShape) -> dict:
-    """mask -> (w_J, degsum) over all L-subsets of the slots, where
-    w_J = prod_{i<k}(r_k - r_i)/sf(L).  The division is exact: the
+    """The momentum grading: mask -> (w_J, p_J) over all L-subsets J of
+    the slots, with w_J = prod_{i<k}(r_k - r_i)/sf(L) and momentum
+    p_J = sum(J) - L(N-1)/2 in [-K, K].  The division is exact: the
     product is sf(L) times a product of binomial coefficients."""
     sf = superfactorial(shape.L)
+    shift = shape.L * (shape.N - 1) // 2  # an integer: L is even
     table = {}
     for J in combinations(range(shape.N), shape.L):
         prod = 1
@@ -380,20 +383,17 @@ def blade_weights(shape: ModelShape) -> dict:
                 prod *= J[k] - J[i]
         if prod % sf:
             raise AssertionError(f"non-integer renormalized weight on {J}")
-        table[degrees_to_mask(J)] = (prod // sf, sum(J))
+        table[degrees_to_mask(J)] = (prod // sf, sum(J) - shift)
     return table
 
 
 def omega(x, shape: ModelShape) -> Multivector:
-    """The charge-L particle at location x: grade-L form with
-    coefficient w_J * x^{sum(J) - L(L-1)/2} on blade J."""
-    base_shift = shape.L * (shape.L - 1) // 2
+    """The charge-L particle at location x, sum_p x^{p+K} eps_p: grade-L
+    form with coefficient w_J * x^{p_J+K} on blade J."""
     x = rational(x)
-    # powers of x up to the largest degree sum, computed once
-    max_e = shape.L * shape.N - shape.L * (shape.L + 1) // 2 - base_shift
-    powers = [rational(1)]
-    for _ in range(max_e):
+    powers = [rational(1)]  # x^0 .. x^{2K}, computed once
+    for _ in range(2 * shape.K):
         powers.append(powers[-1] * x)
     # Multivector drops the zero coefficients (x = 0)
-    terms = {mask: w * powers[degsum - base_shift] for mask, (w, degsum) in blade_weights(shape).items()}
+    terms = {mask: w * powers[p + shape.K] for mask, (w, p) in blade_weights(shape).items()}
     return Multivector(shape, terms, shape.L)

@@ -21,6 +21,7 @@ from .exterior import (
     blade_momentum,
     blade_weights,
     merge_sign,
+    scalar_multivector,
     wedge,
     zero_multivector,
 )
@@ -37,9 +38,7 @@ CACHE_ENV = "LOGGAS_CACHE_DIR"
 def epsilon(p: int, shape: ModelShape) -> Multivector:
     """The p-th momentum mode: all L-blades of momentum p with their
     renormalized Vandermonde weights.  Zero for |p| > K."""
-    if abs(p) > shape.K:
-        return zero_multivector(shape)
-    terms = {mask: w for mask, (w, _) in blade_weights(shape).items() if blade_momentum(mask, shape) == p}
+    terms = {mask: w for mask, (w, q) in blade_weights(shape).items() if q == p}
     return Multivector(shape, terms, shape.L)
 
 
@@ -139,16 +138,15 @@ def _build_structure_table(shape: ModelShape) -> StructureTable:
         )
     L = shape.L
     weights = blade_weights(shape)
-    shift = L * (shape.N - 1) // 2  # an L-blade's momentum is its degree sum minus this
-    by_low: dict = {}  # lowest slot bit -> [(block, w_B, momentum)]
-    for mask, (w, degsum) in weights.items():
-        by_low.setdefault(mask & -mask, []).append((mask, w, degsum - shift))
+    by_low: dict = {}  # lowest slot bit -> [(block, w_B, p_B)]
+    for mask, (w, p) in weights.items():
+        by_low.setdefault(mask & -mask, []).append((mask, w, p))
     memo: dict = {}
 
     def T(S: int) -> dict:
         if S.bit_count() == L:
-            w, degsum = weights[S]
-            return {(degsum - shift,): w}
+            w, p = weights[S]
+            return {(p,): w}
         if S not in memo:
             acc: dict = {}
             for B, w, p in by_low[S & -S]:
@@ -240,9 +238,7 @@ def higher_plucker_residual(n: int, j: int, shape: ModelShape) -> Multivector:
             acc = acc + rec(nxt, depth + 1, remaining - p)
         return acc
 
-    from .exterior import scalar_multivector
-
-    return rec(scalar_multivector(shape, rational(1)), 0, n)
+    return rec(scalar_multivector(shape, 1), 0, n)
 
 
 @dataclass(frozen=True)

@@ -303,18 +303,27 @@ def test_usage_error_weight_and_moments_file(capsys, tmp_path):
         ["partition", "--L", "2", "--M", "2", "--moments-file", "{dir}/Infinity.json"],
         ["partition", "--L", "2", "--M", "2", "--moments-file", "{dir}/-Infinity.json"],
         ["partition", "--L", "2", "--M", "2", "--moments-file", "{dir}/NaN.json"],
+        ["partition", "--L", "2", "--M", "2", "--moments-file", "{dir}/list.json"],
+        ["partition", "--L", "2", "--M", "2", "--moments-file", "{dir}/null.json"],
+        ["partition", "--L", "2", "--M", "2", "--moments-file", "{dir}/bool.json"],
         ["oracle", "--L", "2", "--M", "2", "--weight", "uniform:0,1", "--budget", "1"],
         ["verify-confluent", "--L", "2", "--M", "2", "--trials", "0"],
         ["verify-toeplitz", "--L", "2", "--M", "2", "--threads", "0"],
+        ["verify-plucker", "--L", "2", "--M", "2", "--j-max", "1"],
+        ["verify-plucker", "--L", "2", "--M", "2", "--j-max", "0"],
     ],
     ids=[
         "points-zero-denominator", "missing-moments-file", "infinite-moment", "negative-infinite-moment",
-        "nan-moment", "budget-1", "trials-0", "threads-0",
+        "nan-moment", "list-moments-file", "null-moments-file", "bool-moment", "budget-1", "trials-0",
+        "threads-0", "j-max-1", "j-max-0",
     ],
 )
 def test_usage_error_bad_input(capsys, tmp_path, argv):
     for m0 in ("Infinity", "-Infinity", "NaN"):
         (tmp_path / f"{m0}.json").write_text('{"scale": null, "moments": [%s, 0.0, 0.5, 0.0, 0.75]}' % m0)
+    (tmp_path / "list.json").write_text("[1, 0, 1, 0, 1]")
+    (tmp_path / "null.json").write_text("null")
+    (tmp_path / "bool.json").write_text('{"scale": null, "moments": [true, 0, 1, 0, 1]}')
     argv = [a.format(dir=tmp_path) for a in argv]
     try:
         code = main(argv)

@@ -14,6 +14,7 @@ from loggas.ensemble import (
 )
 from loggas.exterior import ModelShape, mask_to_degrees
 from loggas.scalars import Tagged, as_float, rational
+from loggas.spine import epsilon
 from loggas.tau import extraction_evaluate, psi_minus, psi_plus
 
 S22 = ModelShape(2, 2)
@@ -99,11 +100,20 @@ def test_gram_form_blade_values():
     assert {k: str(v) for k, v in got.items()} == expect
 
 
+def gram_by_modes(moments, shape):
+    """The Gram oracle: gamma = sum_p mhat_p eps_p, mode by mode."""
+    out = None
+    for p in range(-shape.K, shape.K + 1):
+        piece = epsilon(p, shape).scale(moments.mhat(p, shape.K))
+        out = piece if out is None else out + piece
+    return out
+
+
 def test_gram_form_routes_agree():
     mom = MomentSequence(["2", "-1/3", "4", "1/7", "-5"])
-    assert gram_form(mom, S22, "blade") == gram_form(mom, S22, "modes")
+    assert gram_form(mom, S22) == gram_by_modes(mom, S22)
     gm = GAUSS.moments(4)
-    assert gram_form(gm, S22, "blade") == gram_form(gm, S22, "modes")
+    assert gram_form(gm, S22) == gram_by_modes(gm, S22)
 
 
 def test_gram_form_range_guard():

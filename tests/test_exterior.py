@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -6,6 +7,7 @@ from loggas.exterior import (
     ModelShape,
     Multivector,
     basis_blade,
+    blade_momentum,
     blade_weights,
     divided_wedge_power,
     degrees_to_mask,
@@ -235,6 +237,17 @@ def test_blade_weights_integrality():
     # renormalized Wronskian weights are integers for L=4
     for w, _ in blade_weights(ModelShape(4, 2)).values():
         assert isinstance(w, int)
+
+
+@pytest.mark.parametrize("L,M", [(2, 3), (4, 2), (4, 3), (6, 2)])
+def test_blade_weights_carry_momentum(L, M):
+    # the table's grading is the general-grade reference's, inside [-K, K]
+    sh = ModelShape(L, M)
+    table = blade_weights(sh)
+    assert len(table) == math.comb(sh.N, L)
+    for mask, (_, p) in table.items():
+        assert p == blade_momentum(mask, sh)
+        assert -sh.K <= p <= sh.K
 
 
 def test_confluent_l4_exact():

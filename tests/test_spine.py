@@ -125,12 +125,13 @@ def test_toeplitz_random_band():
 
 def test_mode_completeness():
     # sum_p x^{K+p} eps_p = omega(x)
-    for x in (rational("2/5"), rational(-3), rational(0)):
-        acc = None
-        for p in range(-S23.K, S23.K + 1):
-            piece = epsilon(p, S23).scale(x ** (S23.K + p))
-            acc = piece if acc is None else acc + piece
-        assert acc == omega(x, S23), x
+    for sh in (S23, ModelShape(4, 2)):
+        for x in (rational("2/5"), rational("-7/3"), rational(-3), rational(0)):
+            acc = None
+            for p in range(-sh.K, sh.K + 1):
+                piece = epsilon(p, sh).scale(x ** (sh.K + p))
+                acc = piece if acc is None else acc + piece
+            assert acc == omega(x, sh), (sh, x)
 
 
 def test_zero_sum_saturation():
