@@ -103,9 +103,10 @@ class MomentSequence:
     def from_json_dict(cls, data: dict) -> "MomentSequence":
         if not isinstance(data, dict):
             raise ValueError(f"a moments file holds a JSON object, not {type(data).__name__}")
-        scale = data.get("scale")
-        symbol = scale["symbol"] if scale else None
-        return cls(list(data["moments"]), symbol)
+        moments, scale = data["moments"], data.get("scale")
+        if not isinstance(moments, list):
+            raise ValueError(f'"moments" holds a JSON list, not {type(moments).__name__}')
+        return cls(moments, scale["symbol"] if scale else None)
 
 
 def double_factorial_odd(k: int) -> int:

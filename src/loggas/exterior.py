@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .scalars import is_rational, rational, read_scaled, rebuild, scalar_is_zero, scalar_json
+from .scalars import Scale, is_rational, rational, read_scaled, rebuild, scalar_is_zero, scalar_json
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,8 @@ def degrees_to_mask(degrees) -> int:
 
 
 def merge_sign(a: int, b: int) -> int:
-    """Parity of merging two disjoint sorted blades a, b into one."""
+    """Parity of merging two disjoint sorted blades a, b into one, bit by
+    bit: the reference for parity_mask."""
     inv = 0
     bb = b
     while bb:
@@ -84,6 +85,18 @@ def merge_sign(a: int, b: int) -> int:
         inv += (a >> low.bit_length()).bit_count()
         bb ^= low
     return -1 if inv & 1 else 1
+
+
+def parity_mask(S: int) -> int:
+    """P(S), the slots below an odd number of S-bits, by shift-xor doubling:
+    merge_sign(a, b) = (-1)^popcount(P(a) & b) for disjoint a, b, and, P being
+    xor-linear, merge_sign(S ^ B, B) = (-1)^(popcount(P(S) & B) + C(|B|, 2))."""
+    y = S >> 1
+    shift, n = 1, y.bit_length()
+    while shift < n:
+        y ^= y >> shift
+        shift <<= 1
+    return y
 
 
 def blade_momentum(mask: int, shape: ModelShape) -> int:
@@ -189,25 +202,38 @@ def basis_blade(shape: ModelShape, degrees, coeff=1) -> Multivector:
     return Multivector(shape, {degrees_to_mask(degrees): coeff})
 
 
+def wedge_into(acc: dict, a: dict, b: dict, c: int = 1) -> dict:
+    """acc += c * (a ^ b) for maps blade -> int; returns acc."""
+    for ma, ca in a.items():
+        pa, ca = parity_mask(ma), c * ca
+        for mb, cb in b.items():
+            if not ma & mb:
+                key = ma | mb
+                acc[key] = acc.get(key, 0) + (-(ca * cb) if (pa & mb).bit_count() & 1 else ca * cb)
+    return acc
+
+
+def _integer_terms(a: Multivector) -> tuple:
+    """(blade -> int numerator, scale), scale None if all coefficients are ints."""
+    if all(type(c) is int for c in a.terms.values()):
+        return a.terms, None
+    nums, scale = read_scaled(a.terms.values())
+    return dict(zip(a.terms, nums)), scale
+
+
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Bilinear alternating product.  Disjoint blades merge with the
-    parity sign of the interleave; overlapping blades vanish."""
+    parity sign of the interleave; overlapping blades vanish.  Sums plain
+    ints (wedge_into) and rebuilds each output coefficient once; a float
+    coefficient raises TypeError."""
     if a.shape != b.shape:
         raise ValueError("wedge of multivectors over different shapes")
-    acc: dict = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            if ma & mb:
-                continue
-            term = ca * cb
-            if merge_sign(ma, mb) < 0:
-                term = -term
-            key = ma | mb
-            acc[key] = acc[key] + term if key in acc else term
-    grade = None
-    if a.grade is not None and b.grade is not None:
-        grade = a.grade + b.grade
-    return Multivector(a.shape, acc, grade if acc else None)
+    (ta, sa), (tb, sb) = _integer_terms(a), _integer_terms(b)
+    acc = wedge_into({}, ta, tb)
+    if sa is not None or sb is not None:
+        scale = (sa or Scale()) * (sb or Scale())
+        acc = {m: rebuild(t, scale) for m, t in acc.items() if t}
+    return Multivector(a.shape, acc)
 
 
 def star(a: Multivector):
@@ -262,15 +288,16 @@ def star_pairing(gamma: Multivector):
     for mask, c in blocks.items():
         by_low.setdefault(mask & -mask, []).append((mask, c))
     background: dict = {}  # slot set -> coefficient
+    inv = L * (L - 1) // 2  # C(L, 2), the inversions inside one block
 
     def expand(S: int, blocks, inner) -> int:
         """Sum over the blocks B inside S of sign * c_B * inner(S ^ B)."""
-        total = 0
+        total, ps = 0, parity_mask(S)
         for B, c in blocks:
             if B & S != B or not (rest := inner(S ^ B)):
                 continue
-            # even grade: e_B ^ e_R = e_R ^ e_B, and merge_sign loops over B's bits
-            total += c * rest if merge_sign(S ^ B, B) > 0 else -(c * rest)
+            # even grade: e_B ^ e_R = e_R ^ e_B, of sign merge_sign(S ^ B, B)
+            total += -(c * rest) if ((ps & B).bit_count() + inv) & 1 else c * rest
         return total
 
     def bg(S: int) -> int:

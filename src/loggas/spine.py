@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,9 +21,10 @@ from .exterior import (
     Multivector,
     blade_momentum,
     blade_weights,
-    merge_sign,
+    parity_mask,
     scalar_multivector,
     wedge,
+    wedge_into,
     zero_multivector,
 )
 from .scalars import Scale, rational, read_scaled, rebuild
@@ -136,7 +138,7 @@ def _build_structure_table(shape: ModelShape) -> StructureTable:
         raise ValueError(
             f"blade space C({shape.N},{shape.L}) exceeds the structure-table ceiling"
         )
-    L = shape.L
+    L, inv = shape.L, shape.L * (shape.L - 1) // 2  # C(L, 2), the inversions inside one block
     weights = blade_weights(shape)
     by_low: dict = {}  # lowest slot bit -> [(block, w_B, p_B)]
     for mask, (w, p) in weights.items():
@@ -148,11 +150,12 @@ def _build_structure_table(shape: ModelShape) -> StructureTable:
             w, p = weights[S]
             return {(p,): w}
         if S not in memo:
-            acc: dict = {}
+            acc, ps = {}, parity_mask(S)
             for B, w, p in by_low[S & -S]:
                 if B & S != B:
                     continue
-                c = w if merge_sign(S ^ B, B) > 0 else -w  # e_B ^ e_R = e_R ^ e_B at even grade
+                # e_B ^ e_R = e_R ^ e_B at even grade, of sign merge_sign(S ^ B, B)
+                c = -w if ((ps & B).bit_count() + inv) & 1 else w
                 for key, v in T(S ^ B).items():
                     key = tuple(sorted(key + (p,)))
                     acc[key] = acc.get(key, 0) + c * v
@@ -191,10 +194,11 @@ def structure_table(shape: ModelShape, cache: bool = True) -> StructureTable:
     if cache and path.is_file():
         try:
             table = StructureTable.from_json_dict(json.loads(path.read_text()))
-            if table.shape == shape:
-                return table
-        except (ValueError, KeyError, json.JSONDecodeError):
-            pass  # stale or foreign file; rebuild below
+            if table.shape != shape:
+                raise ValueError(f"it holds the table of {table.shape}")
+            return table
+        except (OSError, TypeError, ValueError, KeyError) as e:
+            print(f"rebuilt stale table {path}: {e}", file=sys.stderr)
     table = _build_structure_table(shape)
     if cache:
         try:
@@ -203,18 +207,17 @@ def structure_table(shape: ModelShape, cache: bool = True) -> StructureTable:
             with os.fdopen(fd, "w") as fh:
                 json.dump(table.to_json_dict(), fh, indent=1)
             os.replace(tmp, path)
-        except OSError:
-            pass  # cache is best-effort; never fail the computation
+        except OSError as e:  # the cache is best-effort; the table is still returned
+            print(f"cache write failed: {e}", file=sys.stderr)
     return table
 
 
 def plucker_residual(n: int, shape: ModelShape) -> Multivector:
-    """r_n = sum_{p+q=n} eps_p ^ eps_q.  Identically zero."""
-    K = shape.K
-    out = zero_multivector(shape)
+    """r_n = sum_{p+q=n} eps_p ^ eps_q, summed in one int map.  Identically zero."""
+    K, acc = shape.K, {}
     for p in range(max(-K, n - K), min(K, n + K) + 1):
-        out = out + wedge(epsilon(p, shape), epsilon(n - p, shape))
-    return out
+        wedge_into(acc, epsilon(p, shape).terms, epsilon(n - p, shape).terms)
+    return Multivector(shape, acc)
 
 
 def higher_plucker_residual(n: int, j: int, shape: ModelShape) -> Multivector:
@@ -283,15 +286,14 @@ def adjunction_expansion(q: int, moments, shape: ModelShape, table: StructureTab
 
 
 def toeplitz_residual(T: ToeplitzOperator, n: int, shape: ModelShape) -> Multivector:
-    """r_{n,T} = sum_{p+q=n} eps_p ^ (T eps_q).  Identically zero."""
-    K = shape.K
-    out = zero_multivector(shape)
-    for p in range(-K, K + 1):
-        lhs = epsilon(p, shape)
-        if lhs.is_zero():
+    """r_{n,T} = sum_{p+q=n} eps_p ^ (T eps_q) = sum_k t_k sum_p eps_p ^ eps_{n-k-p},
+    summed in one int map over the band's common denominator.  Identically zero."""
+    K, acc = shape.K, {}
+    nums, scale = read_scaled(t for _, t in T.band)
+    for (offset, _), t in zip(T.band, nums):
+        if not t:
             continue
-        rhs = T.apply(n - p, shape)
-        if rhs.is_zero():
-            continue
-        out = out + wedge(lhs, rhs)
-    return out
+        m = n - offset
+        for p in range(max(-K, m - K), min(K, m + K) + 1):
+            wedge_into(acc, epsilon(p, shape).terms, epsilon(m - p, shape).terms, t)
+    return Multivector(shape, {mask: rebuild(c, scale) for mask, c in acc.items() if c})

@@ -127,6 +127,29 @@ def test_structure_table(capsys):
     assert entries[(0, 0)] == "6"
 
 
+def test_structure_cache_faults_are_reported(capsys, tmp_path, monkeypatch):
+    # a corrupt table is rebuilt and an unwritable cache is skipped, each
+    # named on stderr; stdout and the exit code are those of --no-cache
+    _, expected, _ = run(capsys, "structure", "--L", "2", "--M", "2", "--no-cache")
+    cache = tmp_path / "cache"
+    cache.mkdir(exist_ok=True)
+    stale = cache / "structure_L2_M2.json"
+    # the last two fail to load with TypeError rather than ValueError
+    for text in ('{"L": 2, "M": 2, "K": 2, "entries": "x"}',
+                 '{"L": 2, "M": 2, "K": 2, "entries": 5}',
+                 "[2]"):
+        stale.write_text(text)
+        code, out, err = run(capsys, "structure", "--L", "2", "--M", "2")
+        assert (code, out) == (0, expected), text
+        assert f"rebuilt stale table {stale}" in err
+    blocked = tmp_path / "not-a-directory"
+    blocked.write_text("")
+    monkeypatch.setenv("LOGGAS_CACHE_DIR", str(blocked))
+    code, out, err = run(capsys, "structure", "--L", "2", "--M", "2")
+    assert (code, out) == (0, expected)
+    assert "cache write failed" in err
+
+
 def test_epsilon(capsys):
     code, out, _ = run(capsys, "epsilon", "--L", "2", "--M", "2", "--p", "2")
     assert code == 0
@@ -306,6 +329,7 @@ def test_usage_error_weight_and_moments_file(capsys, tmp_path):
         ["partition", "--L", "2", "--M", "2", "--moments-file", "{dir}/list.json"],
         ["partition", "--L", "2", "--M", "2", "--moments-file", "{dir}/null.json"],
         ["partition", "--L", "2", "--M", "2", "--moments-file", "{dir}/bool.json"],
+        ["partition", "--L", "2", "--M", "2", "--moments-file", "{dir}/string.json"],
         ["oracle", "--L", "2", "--M", "2", "--weight", "uniform:0,1", "--budget", "1"],
         ["verify-confluent", "--L", "2", "--M", "2", "--trials", "0"],
         ["verify-toeplitz", "--L", "2", "--M", "2", "--threads", "0"],
@@ -314,8 +338,8 @@ def test_usage_error_weight_and_moments_file(capsys, tmp_path):
     ],
     ids=[
         "points-zero-denominator", "missing-moments-file", "infinite-moment", "negative-infinite-moment",
-        "nan-moment", "list-moments-file", "null-moments-file", "bool-moment", "budget-1", "trials-0",
-        "threads-0", "j-max-1", "j-max-0",
+        "nan-moment", "list-moments-file", "null-moments-file", "bool-moment", "string-moments", "budget-1",
+        "trials-0", "threads-0", "j-max-1", "j-max-0",
     ],
 )
 def test_usage_error_bad_input(capsys, tmp_path, argv):
@@ -324,6 +348,7 @@ def test_usage_error_bad_input(capsys, tmp_path, argv):
     (tmp_path / "list.json").write_text("[1, 0, 1, 0, 1]")
     (tmp_path / "null.json").write_text("null")
     (tmp_path / "bool.json").write_text('{"scale": null, "moments": [true, 0, 1, 0, 1]}')
+    (tmp_path / "string.json").write_text('{"scale": null, "moments": "10101"}')
     argv = [a.format(dir=tmp_path) for a in argv]
     try:
         code = main(argv)

@@ -1,5 +1,7 @@
 import json
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,7 +26,7 @@ from loggas.exterior import (
     zero_multivector,
 )
 from loggas.scalars import ScaleMismatchError, Tagged, rational
-from loggas.spine import epsilon
+from loggas.spine import ToeplitzOperator, epsilon, plucker_residual, toeplitz_residual
 
 S22 = ModelShape(2, 2)
 
@@ -66,6 +68,76 @@ def test_wedge_spec_examples():
     a = e0 + e1
     b = e0 - e1
     assert wedge(a, b) == basis_blade(S22, [0, 1], -2)
+
+
+def oracle_wedge(a: Multivector, b: Multivector) -> Multivector:
+    """The pairwise definition of the wedge: each product of coefficients,
+    signed by merge_sign, added into its blade.  The reference for wedge."""
+    acc: dict = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            if not ma & mb:
+                term = ca * cb if merge_sign(ma, mb) > 0 else -(ca * cb)
+                acc[ma | mb] = acc[ma | mb] + term if ma | mb in acc else term
+    return Multivector(a.shape, acc)
+
+
+COEFFS = {
+    "int": lambda rng: rng.randint(-9, 9),
+    "fraction": lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+    "tagged": lambda rng: Tagged(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), 1),
+    "mixed": lambda rng: rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))]),
+}
+
+
+def random_multivector(rng, shape, coeff, terms=16):
+    """Blades of every grade up to N/2, so that many pairs are disjoint."""
+    blades = {}
+    for _ in range(terms):
+        slots = rng.sample(range(shape.N), rng.randint(0, shape.N // 2))
+        blades[degrees_to_mask(slots)] = coeff(rng)
+    return Multivector(shape, blades)
+
+
+@pytest.mark.parametrize("L,M", [(2, 3), (4, 2), (6, 2)])
+@pytest.mark.parametrize("kind", COEFFS)
+def test_wedge_matches_oracle(L, M, kind):
+    sh, rng = ModelShape(L, M), random.Random(f"{L}{M}{kind}")
+    for _ in range(20):
+        a, b = (random_multivector(rng, sh, COEFFS[kind]) for _ in range(2))
+        product = wedge(a, b)
+        assert product == oracle_wedge(a, b) and not product.is_zero()
+        if kind == "int":  # integer inputs stay integer
+            assert all(type(c) is int for c in product.terms.values())
+    x, y = rational("3/7"), rational(-2)
+    assert wedge(omega(x, sh), omega(y, sh)) == oracle_wedge(omega(x, sh), omega(y, sh))
+
+
+def test_wedge_refuses_floats():
+    floats = Multivector(S22, {0b0011: 2.0})
+    with pytest.raises(TypeError):
+        wedge(floats, epsilon(0, S22))
+    with pytest.raises(TypeError):
+        wedge(epsilon(0, S22), floats)
+
+
+@pytest.mark.parametrize("L,M", [(2, 3), (4, 2), (6, 2)])
+def test_residuals_match_their_definitional_sums(L, M):
+    # both residuals vanish; the oracle's partial terms do not, so each
+    # comparison checks a real cancellation
+    sh, rng = ModelShape(L, M), random.Random(L * M)
+    K = sh.K
+    for n in range(-2 * K, 2 * K + 1):
+        terms = [oracle_wedge(epsilon(p, sh), epsilon(n - p, sh)) for p in range(-K, K + 1)]
+        assert plucker_residual(n, sh) == sum(terms, zero_multivector(sh)), n
+        assert n != 0 or any(not t.is_zero() for t in terms)
+    for _ in range(3):
+        band = {k: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for k in (-1, 0, 1)}
+        T = ToeplitzOperator.from_dict(band)
+        for n in (-1, 0, 1):  # T eps_{n-p} holds eps_{-p}: eps_p ^ eps_{-p} is nonzero
+            terms = [oracle_wedge(epsilon(p, sh), T.apply(n - p, sh)) for p in range(-K, K + 1)]
+            assert toeplitz_residual(T, n, sh) == sum(terms, zero_multivector(sh)), n
+            assert any(not t.is_zero() for t in terms)
 
 
 def test_wedge_shape_mismatch():

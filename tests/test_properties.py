@@ -13,6 +13,7 @@ from loggas.exterior import (
     divided_wedge_power,
     merge_sign,
     omega,
+    parity_mask,
     star,
     star_pairing,
     wedge,
@@ -170,6 +171,26 @@ def test_merge_sign_is_permutation_sign(da, db):
     b = sum(1 << r for r in db)
     inversions = sum(1 for x in da for y in db if x > y)
     assert merge_sign(a, b) == (-1) ** inversions
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, (1 << 16) - 1), st.integers(0, (1 << 16) - 1))
+def test_parity_mask_sign_is_merge_sign(x, b):
+    a = x & ~b  # disjoint from b
+    assert (-1) ** (parity_mask(a) & b).bit_count() == merge_sign(a, b)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from([2, 4, 6]), st.data())
+def test_parity_mask_lowest_slot_sign(L, data):
+    # B holds the lowest slot of S and L - 1 others, as in the lowest-slot
+    # expansions of star_pairing and the structure-table build
+    slots = data.draw(st.lists(st.integers(0, 15), min_size=L, max_size=16, unique=True))
+    low, *rest = sorted(slots)
+    others = data.draw(st.permutations(rest))[: L - 1]
+    S = sum(1 << r for r in slots)
+    B = sum(1 << r for r in (low, *others))
+    assert (-1) ** ((parity_mask(S) & B).bit_count() + L * (L - 1) // 2) == merge_sign(S ^ B, B)
 
 
 @settings(deadline=None, max_examples=20)
