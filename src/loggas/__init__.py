@@ -55,7 +55,6 @@ from .oracle import (
     direct_interaction,
     integrate_R1,
     integrate_partition,
-    time_vector_moments,
 )
 
 __version__ = "0.1.0"
@@ -107,5 +106,4 @@ __all__ = [
     "direct_interaction",
     "integrate_partition",
     "integrate_R1",
-    "time_vector_moments",
 ]

@@ -310,10 +310,11 @@ def cmd_oracle(args) -> int:
     else:
         if args.x is None:
             raise UsageError("--x is required for the r1 oracle")
-        report = integrate_R1(
-            weight, shape, float(rational(args.x)), args.method,
-            args.budget, args.seed, args.threads, args.nodes,
-        )
+        try:
+            x = float(rational(args.x))
+        except (ValueError, ZeroDivisionError) as e:
+            raise UsageError(f"bad --x {args.x!r}: {e}")
+        report = integrate_R1(weight, shape, x, args.method, args.budget, args.seed, args.threads, args.nodes)
     _emit({"which": args.which, "L": shape.L, "M": shape.M, "weight": weight.label(), **report.to_json_dict()}, args)
     return 0
 

@@ -2,7 +2,9 @@
 
 Moments are the primary representation: every formula downstream
 consumes only m_k (or the shifted m-hat), so exactness survives even
-for weights like the Gaussian whose moments carry a sqrt(pi) tag.
+for weights like the Gaussian whose moments carry a sqrt(pi) tag.  The
+exact cores read the plain moments, and each entry point tags its value
+by its degree in the moments, in MomentSequence.tagged.
 Pointwise weight values exist only for named weights; explicit moment
 lists support all the algebra but only weightless correlation factors.
 """
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exterior import ModelShape, Multivector, blade_weights, omega, star_pairing
-from .scalars import SCALE_FLOATS, Tagged, as_float, format_rational, rational
+from .scalars import SCALE_FLOATS, Tagged, as_float, format_rational, rational, tagged
 from .spine import structure_table
 
 
@@ -25,8 +27,10 @@ class MomentSequence:
     """m_0 .. m_D, exact rationals with an optional common scale tag.
 
     The one numeric input, and the only code that knows a value was a
-    float.  Each float (oracle output, a JSON number) is read once, as the
-    dyadic rational it is; a non-finite float or a bool raises ValueError.
+    float or carries the tag: the cores read plain(), and tagged() puts
+    symbol^degree on what they return.  Each float (oracle output, a JSON
+    number) is read once, as the dyadic rational it is; a non-finite float
+    or a bool raises ValueError.
     A sequence read from floats records that (floats), and result() rounds
     a value derived from it once.  Shifted access mhat(p, K) = m_{p+K} is
     legal for p in [-K, D-K] and raises outside that window.
@@ -68,6 +72,18 @@ class MomentSequence:
                 f"mhat_{p} outside shifted range [{-K}, {self.D - K}]"
             )
         return self.m(p + K)
+
+    def plain(self, K: int) -> tuple:
+        """The untagged mhat_{-K} .. mhat_K, i.e. m_0 .. m_{2K}."""
+        if self.D < 2 * K:
+            raise MomentRangeError(f"need moments through m_{2 * K}, have D={self.D}")
+        return self.values[: 2 * K + 1]
+
+    def tagged(self, value, degree: int):
+        """value * symbol^degree for a value homogeneous of that degree in
+        these moments but computed from the plain ones; a zero stays a
+        plain 0."""
+        return tagged(value, degree, self.scale_symbol) if self.scale_symbol and value else value
 
     def result(self, value):
         """A value computed exactly from these moments, as it is returned:
@@ -185,22 +201,19 @@ class NamedWeight:
 
 def gram_form(moments: MomentSequence, shape: ModelShape) -> Multivector:
     """gamma = sum_p mhat_p eps_p: coefficient w_J * mhat_{p_J} on each
-    L-blade J.  Exact: a float sequence gives the dyadic values it was
-    read as."""
-    K = shape.K
-    if moments.D < 2 * K:
-        raise MomentRangeError(f"need moments through m_{2 * K}, have D={moments.D}")
-    mhat = {p: moments.mhat(p, K) for p in range(-K, K + 1)}
-    terms = {mask: w * mhat[p] for mask, (w, p) in blade_weights(shape).items()}
+    L-blade J, over the plain (untagged) moments.  Exact: a float sequence
+    gives the dyadic values it was read as."""
+    mhat, K = moments.plain(shape.K), shape.K
+    terms = {mask: w * mhat[p + K] for mask, (w, p) in blade_weights(shape).items()}
     return Multivector(shape, terms, shape.L)
 
 
 def partition_function(moments: MomentSequence, shape: ModelShape, route: str = "hyperpfaffian"):
     """Z by either the hyperpfaffian of gamma or the structure-table
-    polynomial; the two must agree exactly.  Z is computed exactly and
-    returned through moments.result."""
+    polynomial; the two must agree exactly.  Z, of degree M, is computed
+    exactly and returned through moments.result."""
     if route == "hyperpfaffian":
-        return moments.result(star_pairing(gram_form(moments, shape))(()))
+        return moments.result(moments.tagged(star_pairing(gram_form(moments, shape))(()), shape.M))
     if route == "structure_poly":
         return moments.result(structure_table(shape).evaluate(moments))
     raise ValueError(f"unknown partition route {route!r}")
@@ -217,9 +230,10 @@ def correlation(
     with the background Gamma = gamma^{M-m}/(M-m)!.
 
     weightless=True omits the prod w(x_i) prefactor (the only option
-    for explicit-moment weights).  The weightless ratio is always exact
-    (a float point is the dyadic rational it is); float mode converts it
-    once and multiplies by the float weight values.
+    for explicit-moment weights).  The weightless ratio, of degree -m, is
+    always exact (a float point is the dyadic rational it is); float mode
+    converts it once and multiplies by the float weight values.  Z = 0
+    raises ValueError.
     """
     m = len(points)
     if not 1 <= m <= shape.M:
@@ -236,7 +250,7 @@ def correlation(
             w = w * d
     moments = weight.moments(2 * shape.K)
     pair = star_pairing(gram_form(moments, shape))
-    ratio = moments.result(pair(tuple(omega(x, shape) for x in xs)) / pair(()))
+    ratio = moments.result(moments.tagged(pair(tuple(omega(x, shape) for x in xs)) / _nonzero_z(pair), -m))
     return w * as_float(ratio) if mode == "float" else w * ratio
 
 
@@ -244,8 +258,16 @@ def r1_normalization(moments: MomentSequence, shape: ModelShape):
     """Exact moment-integration of R_1: star(gamma ^ gamma^{M-1}/(M-1)!)/Z.
 
     Integrating omega(x) against the weight turns it into gamma, so
-    this is the x-integral of the unnormalized density; must equal M.
+    this is the x-integral of the unnormalized density; must equal M, a
+    plain value (degree 0).  Z = 0 raises ValueError.
     """
     gamma = gram_form(moments, shape)
     pair = star_pairing(gamma)
-    return moments.result(pair((gamma,)) / pair(()))
+    return moments.result(pair((gamma,)) / _nonzero_z(pair))
+
+
+def _nonzero_z(pair):
+    """The untagged Z of a star_pairing, which a ratio divides by."""
+    if not (Z := pair(())):
+        raise ValueError("Z = 0 for these moments: the density ratio is undefined")
+    return Z

@@ -12,10 +12,11 @@ sum(J) - L(N-1)/2; blade_weights tabulates it beside the blade's weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .scalars import Scale, is_rational, rational, read_scaled, rebuild, scalar_is_zero, scalar_json
+from .scalars import is_rational, rational, read_scaled, scalar_is_zero, scalar_json
 
 
 @dataclass(frozen=True)
@@ -214,25 +215,26 @@ def wedge_into(acc: dict, a: dict, b: dict, c: int = 1) -> dict:
 
 
 def _integer_terms(a: Multivector) -> tuple:
-    """(blade -> int numerator, scale), scale None if all coefficients are ints."""
+    """(blade -> int numerator, denominator), denominator None if all
+    coefficients are ints."""
     if all(type(c) is int for c in a.terms.values()):
         return a.terms, None
-    nums, scale = read_scaled(a.terms.values())
-    return dict(zip(a.terms, nums)), scale
+    nums, den = read_scaled(a.terms.values())
+    return dict(zip(a.terms, nums)), den
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Bilinear alternating product.  Disjoint blades merge with the
     parity sign of the interleave; overlapping blades vanish.  Sums plain
-    ints (wedge_into) and rebuilds each output coefficient once; a float
-    coefficient raises TypeError."""
+    ints (wedge_into) and divides each output coefficient once; a float or
+    Tagged coefficient raises TypeError."""
     if a.shape != b.shape:
         raise ValueError("wedge of multivectors over different shapes")
-    (ta, sa), (tb, sb) = _integer_terms(a), _integer_terms(b)
+    (ta, da), (tb, db) = _integer_terms(a), _integer_terms(b)
     acc = wedge_into({}, ta, tb)
-    if sa is not None or sb is not None:
-        scale = (sa or Scale()) * (sb or Scale())
-        acc = {m: rebuild(t, scale) for m, t in acc.items() if t}
+    if da is not None or db is not None:
+        den = (da or 1) * (db or 1)
+        acc = {m: Fraction(t, den) for m, t in acc.items() if t}
     return Multivector(a.shape, acc)
 
 
@@ -275,14 +277,16 @@ def star_pairing(gamma: Multivector):
     the lowest slot of S (the set-partition form of the hyperpfaffian),
     memoized by slot bitmask and shared by every pair() call.  It sums
     plain ints: gamma and each form are read as integer numerators over
-    one scale (read_scaled), and the value, whose scale is gamma's to the
-    power M-k times each form's, is rebuilt once (rebuild).
+    one denominator (read_scaled), and the total is divided once by
+    gamma's denominator to the power M-k times each form's.  The
+    coefficients are plain rationals; a caller tags the value by its degree
+    (MomentSequence.tagged).
     """
     shape = gamma.shape
     L, N, full = shape.L, shape.N, shape.volume_mask
     if not gamma.is_zero() and gamma.grade != L:
         raise ValueError(f"the background needs grade {L}, got {gamma.grade}")
-    nums, gamma_scale = read_scaled(gamma.terms.values())
+    nums, gamma_den = read_scaled(gamma.terms.values())
     blocks = dict(zip(gamma.terms, nums))
     by_low: dict = {}  # lowest slot bit -> [(blade, coeff)]
     for mask, c in blocks.items():
@@ -312,14 +316,14 @@ def star_pairing(gamma: Multivector):
         k = len(forms)
         if k > shape.M:
             raise ValueError(f"at most {shape.M} forms, got {k}")
-        scale = gamma_scale ** (shape.M - k)
+        den = gamma_den ** (shape.M - k)
         terms = []
         for f in forms:
             if f.shape != shape or not (f.is_zero() or f.grade == L):
                 raise ValueError(f"star_pairing needs grade-{L} forms over {shape}")
-            nums, f_scale = read_scaled(f.terms.values())
+            nums, f_den = read_scaled(f.terms.values())
             terms.append(dict(zip(f.terms, nums)))
-            scale = scale * f_scale
+            den *= f_den
         blades = [list(t.items()) for t in terms]
         memo: dict = {}
 
@@ -334,7 +338,7 @@ def star_pairing(gamma: Multivector):
                     memo[S] = expand(S, blades[j], rec)
             return memo[S]
 
-        return rebuild(rec(full), scale)
+        return Fraction(rec(full), den)
 
     return pair
 

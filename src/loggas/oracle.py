@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import MomentSequence, NamedWeight
+from .ensemble import NamedWeight
 from .exterior import ModelShape
 from .scalars import Tagged, as_float, rational
 
@@ -272,37 +272,3 @@ def integrate_R1(
         seed=seed,
         budget=budget,
     )
-
-
-def time_vector_moments(
-    times, degree: int, budget: int | None = None, support=None
-) -> MomentSequence:
-    """Numeric moments of w(t; x) = exp(sum_i t_i x^i).
-
-    Without a compact support override the weight must decay: the
-    highest active time index must be even with a negative coefficient.
-    """
-    from scipy.integrate import quad
-
-    active = {int(i): float(t) for i, t in dict(times).items() if float(t) != 0.0}
-    if support is None:
-        if not active:
-            raise ValueError("constant weight on the whole line is not integrable")
-        imax = max(active)
-        if imax % 2 or active[imax] >= 0:
-            raise ValueError(
-                "non-integrable time vector: highest active even time must be negative"
-            )
-        lo, hi = -np.inf, np.inf
-    else:
-        lo, hi = float(support[0]), float(support[1])
-
-    def w(x: float) -> float:
-        return math.exp(sum(t * x**i for i, t in active.items()))
-
-    limit = budget if budget is not None else 200
-    vals = []
-    for k in range(degree + 1):
-        val, _ = quad(lambda x: x**k * w(x), lo, hi, limit=limit)
-        vals.append(float(val))
-    return MomentSequence(vals)

@@ -1,9 +1,8 @@
 """Exact scalar arithmetic.
 
-Inputs and results are arbitrary-precision rationals, gmpy2.mpq when
-available and fractions.Fraction otherwise.  Weights such as exp(-x^2)
-have moments that are rational multiples of one irrational constant;
-those are carried symbolically as Tagged values
+Inputs and results are arbitrary-precision rationals, fractions.Fraction.
+Weights such as exp(-x^2) have moments that are rational multiples of
+one irrational constant; those are carried symbolically as Tagged values
 
     rational * symbol**power
 
@@ -12,27 +11,20 @@ Adding two nonzero scalars with different tag powers is an error: every
 observable computed here is homogeneous in the moments, so a mismatch
 means a formula was assembled wrong, not that rounding is needed.
 
-The exact cores sum on plain ints: read_scaled turns their inputs into
-integer numerators over one Scale, and rebuild turns an integer total
-back into the one output scalar.  Both are exact only: read_scaled
-refuses a float.  Floats are read, and a derived value rounded, at the
-one numeric input, ensemble.MomentSequence.
+The exact cores never see a tag: they sum plain ints, read_scaled turns
+their rational inputs into integer numerators over one denominator, and
+each core divides its integer total by that denominator once.  The tag is
+attached afterwards, by the value's degree in the moments, in
+ensemble.MomentSequence.tagged.  read_scaled refuses a float and a Tagged:
+floats are read, and a derived value rounded, at the one numeric input,
+ensemble.MomentSequence.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-try:
-    from gmpy2 import mpq as _mpq
-
-    _RATIONAL_TYPES: tuple = (type(_mpq(0)),)
-except ImportError:  # pragma: no cover - gmpy2 is a hard dependency, kept importable without it
-    from fractions import Fraction as _mpq
-
-    _RATIONAL_TYPES = (_mpq,)
-
 from fractions import Fraction
+
+_mpq = Fraction  # the one rational type; the benchmark reports its module as the scalar backend
 
 # Named positive constants usable as scale tags.
 SCALE_FLOATS = {"sqrt_pi": math.sqrt(math.pi)}
@@ -44,16 +36,16 @@ class ScaleMismatchError(ArithmeticError):
 
 def rational(x):
     """Coerce x to the exact rational type.  Floats are refused."""
-    if isinstance(x, _RATIONAL_TYPES):
+    if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, Fraction)):
-        return _mpq(x)
+    if isinstance(x, int):
+        return Fraction(x)
     if isinstance(x, str):
         s = x.strip()
         if "/" in s:
             num, den = s.split("/", 1)
-            return _mpq(int(num), int(den))
-        return _mpq(int(s))
+            return Fraction(int(num), int(den))
+        return Fraction(int(s))
     if isinstance(x, Tagged):
         raise TypeError("tagged scalar where a plain rational is required")
     raise TypeError(f"cannot coerce {type(x).__name__} to an exact rational")
@@ -67,7 +59,7 @@ def format_rational(q) -> str:
 
 
 def is_rational(x) -> bool:
-    return isinstance(x, _RATIONAL_TYPES) or isinstance(x, (int, Fraction))
+    return isinstance(x, (int, Fraction))
 
 
 class Tagged:
@@ -146,15 +138,6 @@ class Tagged:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Tagged(-self.value, self.power, self.symbol)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Tagged) else -rational(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, Tagged):
             self._check(other)
@@ -222,50 +205,13 @@ def scalar_is_zero(x) -> bool:
     return x == 0
 
 
-@dataclass(frozen=True)
-class Scale:
-    """The factor shared by the inputs of an integer sum: each input is
-    numerator/den * symbol**power."""
-
-    den: int = 1
-    power: int = 0
-    symbol: str | None = None
-
-    def __mul__(self, other: "Scale") -> "Scale":
-        if self.symbol and other.symbol and self.symbol != other.symbol:
-            raise ScaleMismatchError(f"scale symbols differ: {self.symbol} vs {other.symbol}")
-        return Scale(self.den * other.den, self.power + other.power, self.symbol or other.symbol)
-
-    def __pow__(self, n: int) -> "Scale":
-        return Scale(self.den**n, self.power * n, self.symbol)
-
-
 def read_scaled(values) -> tuple:
-    """(nums, scale) with values[i] == nums[i]/scale.den * symbol**scale.power
-    and every nums[i] a plain int.  The values are rationals or Tagged; a
-    float raises TypeError.  The nonzero values must share one tag (a plain
-    value has power 0): a mix raises ScaleMismatchError."""
-    exact, tag = [], None
+    """(nums, den) with values[i] == nums[i]/den and every nums[i] a plain
+    int.  The values are exact rationals: a float or a Tagged raises
+    TypeError (a tag is attached by degree, after the sum)."""
+    values = list(values)
     for v in values:
-        t = (0, None)
-        if isinstance(v, Tagged):
-            v, t = v.value, (v.power, v.symbol)
-        elif isinstance(v, float):
-            raise TypeError(f"float {v!r} in an exact sum; read floats in MomentSequence")
-        if v:
-            if tag is None:
-                tag = t
-            elif t != tag:
-                raise ScaleMismatchError(f"mixed (power, symbol) scales in one sum: {t} and {tag}")
-        exact.append(v)
-    den = math.lcm(*(int(v.denominator) for v in exact))
-    nums = [int(v.numerator) * (den // int(v.denominator)) for v in exact]
-    return nums, Scale(den, *(tag or (0, None)))
-
-
-def rebuild(total: int, scale: Scale):
-    """The scalar total/scale.den * symbol**power: a rational or a Tagged.
-    Zero is a plain 0."""
-    if not total:
-        return rational(0)
-    return tagged(_mpq(total, scale.den), scale.power, scale.symbol)
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"{type(v).__name__} {v!r} in an exact sum; read floats and tags in MomentSequence")
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den

@@ -13,6 +13,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .exterior import (
     wedge_into,
     zero_multivector,
 )
-from .scalars import Scale, rational, read_scaled, rebuild
+from .scalars import rational, read_scaled
 
 # guard for structure_table: refuse shapes whose blade space at grade L
 # is too large to expand over
@@ -70,21 +71,24 @@ class StructureTable:
         return self.entries.get(key, 0)
 
     def evaluate(self, moments):
-        """Z = star(gamma^M/M!) = sum over keys P of C_P prod_{p in P} mhat_p / mult(P)."""
+        """Z = star(gamma^M/M!) = sum over keys P of C_P prod_{p in P} mhat_p / mult(P),
+        tagged by its degree M."""
         return self._moment_pass(moments, gradient=False)[None]
 
     def adjunction(self, moments) -> dict:
-        """{q: A_q} for |q| <= K, A_q = star(eps_q ^ gamma^{M-1}/(M-1)!) = dZ/d mhat_q."""
+        """{q: A_q} for |q| <= K, A_q = star(eps_q ^ gamma^{M-1}/(M-1)!) = dZ/d mhat_q,
+        each tagged by its degree M-1."""
         return self._moment_pass(moments, gradient=True)
 
     def _moment_pass(self, moments, gradient: bool) -> dict:
-        """Z (key None) or every A_q on Python ints: with the mhat_p read as
-        integer numerators num[p] over one scale (read_scaled), C_P (M-k)!/mult(P)
-        (times count_q(P) for A_q, k = 1) is an integer.  Each value, of scale
-        (moment scale)^(M-k)/(M-k)!, is rebuilt once (rebuild) and is exact;
-        the caller rounds it through MomentSequence.result."""
+        """Z (key None) or every A_q on Python ints: with the plain mhat_p read
+        as integer numerators num[p] over one denominator den (read_scaled),
+        C_P (M-k)!/mult(P) (times count_q(P) for A_q, k = 1) is an integer.
+        Each total is divided once by den^(M-k) (M-k)! and tagged by its degree
+        M-k (MomentSequence.tagged); the caller rounds it through
+        MomentSequence.result."""
         K, M = self.shape.K, self.shape.M
-        nums, scale = read_scaled([moments.mhat(p, K) for p in range(-K, K + 1)])
+        nums, den = read_scaled(moments.plain(K))
         num = dict(zip(range(-K, K + 1), nums))
         k = 1 if gradient else 0
         f = math.factorial(M - k)
@@ -98,8 +102,8 @@ class StructureTable:
                     sums[q] += math.prod((num[p] for p in rest), start=c * key.count(q) // mult)
             else:
                 sums[None] += math.prod((num[p] for p in key), start=c // mult)
-        scale = scale ** (M - k) * Scale(f)
-        return {q: rebuild(total, scale) for q, total in sums.items()}
+        den = den ** (M - k) * f
+        return {q: moments.tagged(Fraction(total, den), M - k) for q, total in sums.items()}
 
     def __eq__(self, other):
         if not isinstance(other, StructureTable):
@@ -278,9 +282,9 @@ def adjunction_expansion(q: int, moments, shape: ModelShape, table: StructureTab
         (1/(M-1)!) sum over ordered (p_1..p_{M-1}), sum p_i = -q,
                    of C_{(q, p_1..p_{M-1})} prod mhat_{p_i}
 
-    read from the table's integer pass (StructureTable.adjunction).
-    moments needs only an mhat(p, K) accessor.  Independent of the
-    exterior-algebra evaluation route by construction.
+    read from the table's integer pass (StructureTable.adjunction), tagged
+    by its degree M-1.  Independent of the exterior-algebra evaluation
+    route by construction.
     """
     return (table or structure_table(shape)).adjunction(moments).get(q, rational(0))
 
@@ -289,11 +293,11 @@ def toeplitz_residual(T: ToeplitzOperator, n: int, shape: ModelShape) -> Multive
     """r_{n,T} = sum_{p+q=n} eps_p ^ (T eps_q) = sum_k t_k sum_p eps_p ^ eps_{n-k-p},
     summed in one int map over the band's common denominator.  Identically zero."""
     K, acc = shape.K, {}
-    nums, scale = read_scaled(t for _, t in T.band)
+    nums, den = read_scaled(t for _, t in T.band)
     for (offset, _), t in zip(T.band, nums):
         if not t:
             continue
         m = n - offset
         for p in range(max(-K, m - K), min(K, m + K) + 1):
             wedge_into(acc, epsilon(p, shape).terms, epsilon(m - p, shape).terms, t)
-    return Multivector(shape, {mask: rebuild(c, scale) for mask, c in acc.items() if c})
+    return Multivector(shape, {mask: Fraction(c, den) for mask, c in acc.items() if c})

@@ -110,11 +110,10 @@ def _star_against(pair, mode):
 
 def psi_minus(moments: MomentSequence, shape: ModelShape) -> LaurentPolynomial:
     """Insertion wave function: sum_p z^{p+K} A_p with
-    A_p = star_M(eps_p ^ gamma^{^(M-1)}/(M-1)!)."""
-    pair = star_pairing(gram_form(moments, shape))
-    return LaurentPolynomial(
-        {p + shape.K: moments.result(_star_against(pair, epsilon(p, shape))) for p in range(-shape.K, shape.K + 1)}
-    )
+    A_p = star_M(eps_p ^ gamma^{^(M-1)}/(M-1)!), of degree M-1."""
+    pair, K = star_pairing(gram_form(moments, shape)), shape.K
+    A = {p + K: moments.tagged(_star_against(pair, epsilon(p, shape)), shape.M - 1) for p in range(-K, K + 1)}
+    return LaurentPolynomial({e: moments.result(a) for e, a in A.items()})
 
 
 def default_k_cut(shape: ModelShape) -> int:
@@ -132,7 +131,7 @@ def psi_plus(
         G_p = star_{M+1}(eps_p ^ gamma'^{^M}/M!)
 
     with eps_p, the momentum radius K', and the shifted moments all of
-    the (M+1)-system.
+    the (M+1)-system.  B_k has degree M+1.
     """
     if k_cut is None:
         k_cut = default_k_cut(shape)
@@ -144,15 +143,13 @@ def psi_plus(
         raise MomentRangeError(
             f"psi_plus needs moments through m_{k_cut + 2 * Kp}, have D={moments_plus.D}"
         )
-    pair = star_pairing(gram_form(moments_plus, plus))
+    pair, m = star_pairing(gram_form(moments_plus, plus)), moments_plus.values
     G = {p: _star_against(pair, epsilon(p, plus)) for p in range(-Kp, Kp + 1)}
     L2 = shape.L * shape.L
     coeffs = {}
     for k in range(1, k_cut + 1):
-        total = rational(0)
-        for p in range(-Kp, Kp + 1):
-            total = total + moments_plus.mhat(k + p, Kp) * G[p]
-        coeffs[-k] = moments_plus.result(math.comb(L2 + k - 1, k) * total)
+        total = sum(m[k + p + Kp] * G[p] for p in range(-Kp, Kp + 1))
+        coeffs[-k] = moments_plus.result(moments_plus.tagged(math.comb(L2 + k - 1, k) * total, shape.M + 1))
     return LaurentPolynomial(coeffs)
 
 
@@ -161,11 +158,12 @@ def extraction_evaluate(q: int, moments_plus: MomentSequence, shape: ModelShape)
 
     The extraction operators themselves are a gauge choice and are
     never materialized; out-of-range q gives 0 by momentum selection.
+    The value has degree M-1.
     """
     if abs(q) > shape.K:
         return rational(0)
     pair = star_pairing(gram_form(moments_plus, shape))
-    return moments_plus.result(_star_against(pair, epsilon(q, shape)))
+    return moments_plus.result(moments_plus.tagged(_star_against(pair, epsilon(q, shape)), shape.M - 1))
 
 
 def hirota_residual(

@@ -335,11 +335,13 @@ def test_usage_error_weight_and_moments_file(capsys, tmp_path):
         ["verify-toeplitz", "--L", "2", "--M", "2", "--threads", "0"],
         ["verify-plucker", "--L", "2", "--M", "2", "--j-max", "1"],
         ["verify-plucker", "--L", "2", "--M", "2", "--j-max", "0"],
+        ["correlate", "--L", "2", "--M", "2", "--moments-file", "{dir}/point-mass.json", "--points=1/3", "--weightless"],
+        ["oracle", "--L", "2", "--M", "2", "--weight", "uniform:0,1", "--which", "r1", "--x", "1/0"],
     ],
     ids=[
         "points-zero-denominator", "missing-moments-file", "infinite-moment", "negative-infinite-moment",
         "nan-moment", "list-moments-file", "null-moments-file", "bool-moment", "string-moments", "budget-1",
-        "trials-0", "threads-0", "j-max-1", "j-max-0",
+        "trials-0", "threads-0", "j-max-1", "j-max-0", "point-mass-moments", "r1-x-zero-denominator",
     ],
 )
 def test_usage_error_bad_input(capsys, tmp_path, argv):
@@ -349,6 +351,8 @@ def test_usage_error_bad_input(capsys, tmp_path, argv):
     (tmp_path / "null.json").write_text("null")
     (tmp_path / "bool.json").write_text('{"scale": null, "moments": [true, 0, 1, 0, 1]}')
     (tmp_path / "string.json").write_text('{"scale": null, "moments": "10101"}')
+    # a point mass at 1/2: Z = 0, so R_m = (...)/Z is undefined
+    (tmp_path / "point-mass.json").write_text('{"scale": null, "moments": ["1", "1/2", "1/4", "1/8", "1/16"]}')
     argv = [a.format(dir=tmp_path) for a in argv]
     try:
         code = main(argv)

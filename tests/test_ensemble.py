@@ -101,10 +101,11 @@ def test_gram_form_blade_values():
 
 
 def gram_by_modes(moments, shape):
-    """The Gram oracle: gamma = sum_p mhat_p eps_p, mode by mode."""
+    """The Gram oracle: gamma = sum_p mhat_p eps_p, mode by mode, over the
+    plain (untagged) moments, as the cores read them."""
     out = None
     for p in range(-shape.K, shape.K + 1):
-        piece = epsilon(p, shape).scale(moments.mhat(p, shape.K))
+        piece = epsilon(p, shape).scale(moments.values[p + shape.K])
         out = piece if out is None else out + piece
     return out
 

@@ -10,7 +10,6 @@ from loggas.oracle import (
     direct_interaction,
     integrate_R1,
     integrate_partition,
-    time_vector_moments,
 )
 from loggas.scalars import as_float, rational
 
@@ -124,29 +123,6 @@ def test_report_json_field_order():
         "std_error",
         "samples_or_nodes",
     ]
-
-
-def test_time_vector_moments_gaussian():
-    mom = time_vector_moments({2: -1}, 4)
-    assert mom.values[0] == pytest.approx(math.sqrt(math.pi), rel=1e-9)
-    assert mom.values[1] == pytest.approx(0.0, abs=1e-12)
-    assert mom.values[2] == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-9)
-    assert mom.values[4] == pytest.approx(3 * math.sqrt(math.pi) / 4, rel=1e-9)
-
-
-def test_time_vector_moments_support_override():
-    mom = time_vector_moments({}, 3, support=(0, 1))
-    for k in range(4):
-        assert mom.values[k] == pytest.approx(1 / (k + 1), rel=1e-10)
-
-
-def test_time_vector_moments_integrability_guard():
-    with pytest.raises(ValueError):
-        time_vector_moments({}, 2)
-    with pytest.raises(ValueError):
-        time_vector_moments({3: -1}, 2)
-    with pytest.raises(ValueError):
-        time_vector_moments({2: 1}, 2)
 
 
 def test_tagged_closed_form_floats():

@@ -2,11 +2,21 @@ import random
 
 import pytest
 
-from loggas.ensemble import MomentRangeError, MomentSequence, NamedWeight
+from loggas.ensemble import (
+    MomentRangeError,
+    MomentSequence,
+    NamedWeight,
+    correlation,
+    partition_function,
+    r1_normalization,
+)
 from loggas.exterior import ModelShape
+from loggas.oracle import CLOSED_FORMS
 from loggas.scalars import Tagged, rational, scalar_is_zero
+from loggas.spine import adjunction_expansion, structure_table
 from loggas.tau import (
     LaurentPolynomial,
+    default_k_cut,
     extraction_evaluate,
     hirota_residual,
     miwa_negative_moments,
@@ -241,3 +251,49 @@ def test_gaussian_wave_pair_tags():
     assert isinstance(b, Tagged) and b.power == 3
     res = hirota_residual(t, tp, S22)
     assert isinstance(res, Tagged) and res.power == 4
+
+
+def assert_degree(value, power, what):
+    """value is sqrt_pi^power times a rational; a zero is a plain 0."""
+    if not value:
+        assert value == 0 and not isinstance(value, Tagged), what
+    elif power:
+        assert isinstance(value, Tagged) and value.power == power, (what, value)
+    else:
+        assert not isinstance(value, Tagged), (what, value)
+
+
+@pytest.mark.parametrize("L,M", [(2, 2), (2, 3), (4, 2)])
+def test_every_tagged_entry_point_has_its_degree(L, M):
+    # each exact core sums plain rationals and its caller tags the value by
+    # its degree in the Gaussian moments (each moment carries sqrt_pi^1)
+    shape, gauss = ModelShape(L, M), NamedWeight.gaussian()
+    K, k_cut = shape.K, default_k_cut(shape)
+    t, tp = gauss.moments(2 * K), gauss.moments(k_cut + 2 * ModelShape(L, M + 1).K)
+    for route in ("hyperpfaffian", "structure_poly"):
+        Z = partition_function(t, shape, route)
+        assert_degree(Z, M, route)
+        assert Z == CLOSED_FORMS.get(("gaussian", L, M), Z)
+    table = structure_table(shape, cache=False)
+    minus, A = psi_minus(t, shape), table.adjunction(t)
+    for q in range(-K, K + 1):
+        for what, a in (
+            ("psi_minus", minus.coefficient(q + K)),
+            ("extraction_evaluate", extraction_evaluate(q, t, shape)),
+            ("table.adjunction", A[q]),
+            ("adjunction_expansion", adjunction_expansion(q, t, shape, table)),
+        ):
+            assert_degree(a, M - 1, (what, q))
+    plus = psi_plus(tp, shape)
+    for k in range(1, k_cut + 1):
+        assert_degree(plus.coefficient(-k), M + 1, ("psi_plus", k))
+    assert_degree(hirota_residual(t, tp, shape), 2 * M, "hirota_residual")
+    for e, c in transport_spectrum(t, tp, shape).coeffs.items():
+        assert_degree(c, 2 * M, ("transport_spectrum", e))
+    points = [rational(x) for x in ("1/2", "-1", "2", "1/3")]
+    for m in range(1, M + 1):
+        assert_degree(correlation(points[:m], gauss, shape, weightless=True), -m, ("R", m))
+    # coincident points: R_M vanishes, as a plain 0
+    assert_degree(correlation(points[:1] * M, gauss, shape, weightless=True), -M, "R at coincident points")
+    assert_degree(r1_normalization(t, shape), 0, "r1_normalization")
+    assert r1_normalization(t, shape) == M
