@@ -11,6 +11,7 @@ sum(J) - L(N-1)/2; blade_weights tabulates it beside the blade's weight.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -350,7 +351,9 @@ def hyperpfaffian(a: Multivector):
 
 def pfaffian_classical(A):
     """Classical Pfaffian of an antisymmetric even-dimensional array by
-    recursive first-row expansion, memoized over index subsets.
+    skew elimination: Pf is the product of the pivots A[k][k+1], each
+    brought into place by a row-and-column swap that flips the sign, with
+    the skew Schur complement taken on the indices after k+1.
 
     Serves as the independent L = 2 oracle for the hyperpfaffian.
     """
@@ -359,32 +362,28 @@ def pfaffian_classical(A):
         raise ValueError("Pfaffian needs even dimension")
     if any(len(row) != n for row in A):
         raise ValueError("ragged array")
-    entries = [[rational(a) for a in row] for row in A]
+    a = [[rational(x) for x in row] for row in A]
     for i in range(n):
         for j in range(n):
-            if entries[i][j] != -entries[j][i]:
+            if a[i][j] != -a[j][i]:
                 raise ValueError(f"not antisymmetric at ({i},{j})")
-    memo: dict = {}
-
-    def pf(mask: int):
-        if mask == 0:
-            return rational(1)
-        if mask in memo:
-            return memo[mask]
-        idx = mask_to_degrees(mask)
-        i = idx[0]
-        total = rational(0)
-        sign = 1
-        for t in range(1, len(idx)):
-            j = idx[t]
-            sub = mask & ~(1 << i) & ~(1 << j)
-            term = entries[i][j] * pf(sub)
-            total = total + term if sign > 0 else total - term
-            sign = -sign
-        memo[mask] = total
-        return total
-
-    return pf((1 << n) - 1)
+    pf = rational(1)
+    for k in range(0, n, 2):
+        p = next((j for j in range(k + 1, n) if a[k][j]), None)
+        if p is None:
+            return rational(0)
+        if p != k + 1:
+            a[k + 1], a[p] = a[p], a[k + 1]
+            for row in a:
+                row[k + 1], row[p] = row[p], row[k + 1]
+            pf = -pf
+        piv = a[k][k + 1]
+        pf *= piv
+        for i in range(k + 2, n):
+            for j in range(i + 1, n):
+                a[i][j] += (a[k + 1][i] * a[k][j] - a[k][i] * a[k + 1][j]) / piv
+                a[j][i] = -a[i][j]
+    return pf
 
 
 def fermion_vector(x, shape: ModelShape) -> Multivector:
@@ -398,12 +397,20 @@ def fermion_vector(x, shape: ModelShape) -> Multivector:
     return Multivector(shape, terms, 1)
 
 
+# every Gram form, omega, momentum mode and structure table enumerates
+# the L-blades through blade_weights
+BLADE_CEILING = 10_000_000
+
+
 @lru_cache(maxsize=None)
 def blade_weights(shape: ModelShape) -> dict:
     """The momentum grading: mask -> (w_J, p_J) over all L-subsets J of
     the slots, with w_J = prod_{i<k}(r_k - r_i)/sf(L) and momentum
     p_J = sum(J) - L(N-1)/2 in [-K, K].  The division is exact: the
-    product is sf(L) times a product of binomial coefficients."""
+    product is sf(L) times a product of binomial coefficients.  Shapes
+    with more than BLADE_CEILING blades are refused before enumeration."""
+    if math.comb(shape.N, shape.L) > BLADE_CEILING:
+        raise ValueError(f"blade space C({shape.N},{shape.L}) exceeds the ceiling of {BLADE_CEILING} L-blades")
     sf = superfactorial(shape.L)
     shift = shape.L * (shape.N - 1) // 2  # an integer: L is even
     table = {}

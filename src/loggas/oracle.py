@@ -11,6 +11,7 @@ import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +30,9 @@ CLOSED_FORMS = {
 }
 
 MC_SHARDS = 64
+# Most coordinates one Monte Carlo shard or tensor grid may hold (32 MiB
+# of float64): larger jobs are refused before numpy is asked for them.
+MAX_COORDINATES = 2**22
 
 
 @dataclass(frozen=True)
@@ -72,22 +76,6 @@ def _interaction_array(X: np.ndarray, L2: int) -> np.ndarray:
     return out
 
 
-def _shard_budgets(budget: int) -> list:
-    base, extra = divmod(budget, MC_SHARDS)
-    return [base + (1 if s < extra else 0) for s in range(MC_SHARDS)]
-
-
-def _pairwise_sum(values: list) -> float:
-    # fixed-tree reduction: result independent of thread scheduling
-    vals = list(values)
-    while len(vals) > 1:
-        vals = [
-            vals[i] + vals[i + 1] if i + 1 < len(vals) else vals[i]
-            for i in range(0, len(vals), 2)
-        ]
-    return vals[0]
-
-
 def _sample_base(weight: NamedWeight, rng: np.random.Generator, n: int, dims: int):
     """i.i.d. proposal draws X and the pointwise ratio prod_j w/q.
 
@@ -108,37 +96,24 @@ def _sample_base(weight: NamedWeight, rng: np.random.Generator, n: int, dims: in
     raise ValueError(f"weight {weight.kind!r} has no sampler")
 
 
-def _mc_moments(weight, dims, budgets, seed, seed_tag, threads, f_of_points):
-    """Per-shard (sum, sumsq, count) of f over base-measure samples,
-    reduced in fixed shard order."""
+def _mc_mean(weight, dims, budget, seed, seed_tag, threads, f_of_points):
+    """(mean, std_error, samples) of f * prod w/q over `budget` base-measure
+    draws in MC_SHARDS seeded shards.  The shard sums are added exactly
+    (math.fsum), so the result does not depend on `threads`."""
+    base, extra = divmod(budget, MC_SHARDS)
 
     def run(shard: int):
-        n = budgets[shard]
-        if n == 0:
-            return (0.0, 0.0, 0)
         rng = np.random.default_rng(np.random.SeedSequence((seed, seed_tag, shard)))
-        X, ratio = _sample_base(weight, rng, n, dims)
+        X, ratio = _sample_base(weight, rng, base + (shard < extra), dims)
         f = f_of_points(X) * ratio
-        return (float(f.sum()), float((f * f).sum()), n)
+        return float(f.sum()), float((f * f).sum())
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(MC_SHARDS)))
-    else:
-        results = [run(s) for s in range(MC_SHARDS)]
-    total = _pairwise_sum([r[0] for r in results])
-    total_sq = _pairwise_sum([r[1] for r in results])
-    count = sum(r[2] for r in results)
-    return total, total_sq, count
-
-
-def _mc_mean(weight, dims, budget, seed, seed_tag, threads, f_of_points):
-    total, total_sq, n = _mc_moments(
-        weight, dims, _shard_budgets(budget), seed, seed_tag, threads, f_of_points
-    )
-    mean = total / n
-    var = max(total_sq - total * total / n, 0.0) / (n - 1)
-    return mean, math.sqrt(var / n), n
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        sums = list(pool.map(run, range(MC_SHARDS)))
+    total = math.fsum(s for s, _ in sums)
+    total_sq = math.fsum(q for _, q in sums)
+    var = max(total_sq - total * total / budget, 0.0) / (budget - 1)
+    return total / budget, math.sqrt(var / budget), budget
 
 
 def _axis_rule(weight: NamedWeight, nodes: int):
@@ -161,9 +136,35 @@ def _tensor_nodes(weight: NamedWeight, nodes: int, dims: int):
     return X, W.ravel()
 
 
-def _gauss_nodes_for(shape: ModelShape) -> int:
-    # integrand degree per axis is L^2 (M-1); Gauss-n is exact to 2n-1
-    return shape.L * shape.L * (shape.M - 1) // 2 + 1
+def _check_size(rows: int, dims: int, what: str) -> None:
+    if rows * dims > MAX_COORDINATES:
+        raise ValueError(
+            f"{what} asks for {rows} x {dims} coordinates in one array; "
+            f"the limit is {MAX_COORDINATES} (2**22)"
+        )
+
+
+def _integrate(weight, shape, dims, f, method, budget, seed, seed_tag, threads, nodes):
+    """(value, std_error, samples_or_nodes) of (1/dims!) int f prod_j w(x_j) dx
+    over `dims` coordinates, by the tensor Gauss rule (by default exact for
+    the degree of `shape`) or by the sharded Monte Carlo."""
+    if method == "tensor_quadrature":
+        n = nodes if nodes is not None else shape.L * shape.L * (shape.M - 1) // 2 + 1
+        _check_size(n**dims, dims, "--nodes")
+        X, W = _tensor_nodes(weight, n, dims)
+        return float(W @ f(X)) / math.factorial(dims), 0.0, n**dims
+    if method == "monte_carlo":
+        _check_size(-(-budget // MC_SHARDS), dims, "--budget")
+        mean, se, n = _mc_mean(weight, dims, budget, seed, seed_tag, threads, f)
+        scale = 1.0 / math.factorial(dims)
+        return scale * mean, scale * se, n
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _report(method: str, result: tuple, seed: int, budget: int) -> IntegrationReport:
+    if method == "monte_carlo":
+        return IntegrationReport(*result, method, seed, budget)
+    return IntegrationReport(*result, method)
 
 
 def integrate_partition(
@@ -176,42 +177,14 @@ def integrate_partition(
     nodes: int | None = None,
 ) -> IntegrationReport:
     """Estimate Z = (1/M!) int prod(x_k-x_i)^{L^2} prod w(x_i) dx."""
-    L2 = shape.L * shape.L
-    M = shape.M
     if method == "closed_form":
         key = (weight.label(), shape.L, shape.M)
         if key not in CLOSED_FORMS:
             raise ValueError(f"no closed form recorded for {key}")
-        return IntegrationReport(
-            estimate=as_float(CLOSED_FORMS[key]),
-            std_error=0.0,
-            samples_or_nodes=0,
-            method="closed_form",
-        )
-    if method == "tensor_quadrature":
-        n = nodes if nodes is not None else _gauss_nodes_for(shape)
-        X, W = _tensor_nodes(weight, n, M)
-        est = float(W @ _interaction_array(X, L2)) / math.factorial(M)
-        return IntegrationReport(
-            estimate=est,
-            std_error=0.0,
-            samples_or_nodes=n**M,
-            method="tensor_quadrature",
-        )
-    if method == "monte_carlo":
-        mean, se, n = _mc_mean(
-            weight, M, budget, seed, 1, threads, lambda X: _interaction_array(X, L2)
-        )
-        scale = 1.0 / math.factorial(M)
-        return IntegrationReport(
-            estimate=scale * mean,
-            std_error=scale * se,
-            samples_or_nodes=n,
-            method="monte_carlo",
-            seed=seed,
-            budget=budget,
-        )
-    raise ValueError(f"unknown method {method!r}")
+        return IntegrationReport(as_float(CLOSED_FORMS[key]), 0.0, 0, method)
+    f = partial(_interaction_array, L2=shape.L * shape.L)
+    result = _integrate(weight, shape, shape.M, f, method, budget, seed, 1, threads, nodes)
+    return _report(method, result, seed, budget)
 
 
 def integrate_R1(
@@ -224,51 +197,30 @@ def integrate_R1(
     threads: int = 1,
     nodes: int | None = None,
 ) -> IntegrationReport:
-    """Estimate R_1(x) from its defining (M-1)-fold integral."""
-    if method not in ("tensor_quadrature", "monte_carlo"):
-        raise ValueError("no closed form for R_1" if method == "closed_form" else f"unknown method {method!r}")
+    """Estimate R_1(x) from its defining (M-1)-fold integral over Z, both
+    by `method`."""
+    if method == "closed_form":
+        raise ValueError("no closed form for R_1")
     x = float(x)
     L2 = shape.L * shape.L
-    M = shape.M
     wx = weight.density_float(x)
-    if M == 1:
+    zrep = integrate_partition(weight, shape, method, budget, seed, threads, nodes)
+    if shape.M == 1:
         # R_1 = w(x)/m_0, so the estimate of m_0 carries the relative error
-        m0 = integrate_partition(weight, shape, method, budget, seed, threads, nodes)
-        est = wx / m0.estimate
-        return dataclasses.replace(m0, estimate=est, std_error=abs(est) * m0.std_error / m0.estimate)
+        est = wx / zrep.estimate
+        return dataclasses.replace(zrep, estimate=est, std_error=abs(est) * zrep.std_error / zrep.estimate)
 
     def f_insert(Y: np.ndarray) -> np.ndarray:
         out = _interaction_array(Y, L2)
-        for j in range(M - 1):
+        for j in range(shape.M - 1):
             out *= (x - Y[:, j]) ** L2
         return out
 
-    if method == "tensor_quadrature":
-        n = nodes if nodes is not None else _gauss_nodes_for(shape)
-        Y, W = _tensor_nodes(weight, n, M - 1)
-        numer = float(W @ f_insert(Y)) / math.factorial(M - 1)
-        Z = integrate_partition(weight, shape, "tensor_quadrature", nodes=n).estimate
-        return IntegrationReport(
-            estimate=wx * numer / Z,
-            std_error=0.0,
-            samples_or_nodes=n ** (M - 1),
-            method=method,
-        )
-    mean_n, se_n, n1 = _mc_mean(weight, M - 1, budget, seed, 2, threads, f_insert)
-    numer = mean_n / math.factorial(M - 1)
-    numer_se = se_n / math.factorial(M - 1)
-    zrep = integrate_partition(weight, shape, "monte_carlo", budget, seed, threads)
+    numer, numer_se, count = _integrate(
+        weight, shape, shape.M - 1, f_insert, method, budget, seed, 2, threads, nodes
+    )
     est = wx * numer / zrep.estimate
     rel = 0.0
     if numer != 0.0:
-        rel = math.sqrt(
-            (numer_se / numer) ** 2 + (zrep.std_error / zrep.estimate) ** 2
-        )
-    return IntegrationReport(
-        estimate=est,
-        std_error=abs(est) * rel,
-        samples_or_nodes=n1,
-        method=method,
-        seed=seed,
-        budget=budget,
-    )
+        rel = math.sqrt((numer_se / numer) ** 2 + (zrep.std_error / zrep.estimate) ** 2)
+    return dataclasses.replace(zrep, estimate=est, std_error=abs(est) * rel, samples_or_nodes=count)

@@ -30,10 +30,6 @@ from .exterior import (
 )
 from .scalars import rational, read_scaled
 
-# guard for structure_table: refuse shapes whose blade space at grade L
-# is too large to expand over
-STRUCTURE_CEILING = 10_000_000
-
 CACHE_ENV = "LOGGAS_CACHE_DIR"
 
 
@@ -138,10 +134,6 @@ def _build_structure_table(shape: ModelShape) -> StructureTable:
     """Lowest-slot expansion over the partitions of the slots into
     L-blocks, memoized by slot bitmask: T(S) maps the sorted block momenta
     of each partition of S to its summed sign * prod w_B."""
-    if math.comb(shape.N, shape.L) > STRUCTURE_CEILING:
-        raise ValueError(
-            f"blade space C({shape.N},{shape.L}) exceeds the structure-table ceiling"
-        )
     L, inv = shape.L, shape.L * (shape.L - 1) // 2  # C(L, 2), the inversions inside one block
     weights = blade_weights(shape)
     by_low: dict = {}  # lowest slot bit -> [(block, w_B, p_B)]

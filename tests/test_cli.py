@@ -337,11 +337,17 @@ def test_usage_error_weight_and_moments_file(capsys, tmp_path):
         ["verify-plucker", "--L", "2", "--M", "2", "--j-max", "0"],
         ["correlate", "--L", "2", "--M", "2", "--moments-file", "{dir}/point-mass.json", "--points=1/3", "--weightless"],
         ["oracle", "--L", "2", "--M", "2", "--weight", "uniform:0,1", "--which", "r1", "--x", "1/0"],
+        # refused by the coordinate limit before any sample is drawn
+        ["oracle", "--L", "2", "--M", "2", "--weight", "uniform:0,1", "--budget", "1000000000000"],
+        ["oracle", "--L", "2", "--M", "2", "--weight", "uniform:0,1", "--method", "tensor_quadrature", "--nodes", "3000"],
+        # C(64, 8) blades: refused before enumeration
+        ["epsilon", "--L", "8", "--M", "8", "--p", "0"],
     ],
     ids=[
         "points-zero-denominator", "missing-moments-file", "infinite-moment", "negative-infinite-moment",
         "nan-moment", "list-moments-file", "null-moments-file", "bool-moment", "string-moments", "budget-1",
         "trials-0", "threads-0", "j-max-1", "j-max-0", "point-mass-moments", "r1-x-zero-denominator",
+        "budget-huge", "nodes-huge", "epsilon-blade-ceiling",
     ],
 )
 def test_usage_error_bad_input(capsys, tmp_path, argv):

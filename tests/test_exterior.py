@@ -282,6 +282,42 @@ def test_pfaffian_classical_gram_example():
     assert pfaffian_classical(A) == rational("1/30")
 
 
+def _pfaffian_by_matchings(A):
+    """Pf as the definition: the sum over perfect matchings of the signed
+    product, the sign (-1)^(number of crossing pairs of edges)."""
+
+    def matchings(idx):
+        if not idx:
+            yield []
+            return
+        for t in range(1, len(idx)):
+            for rest in matchings(idx[1:t] + idx[t + 1 :]):
+                yield [(idx[0], idx[t])] + rest
+
+    total = Fraction(0)
+    for m in matchings(list(range(len(A)))):
+        crossings = sum(1 for (i, j) in m for (k, l) in m if i < k < j < l)
+        total += (-1) ** crossings * math.prod((A[i][j] for i, j in m), start=Fraction(1))
+    return total
+
+
+def test_pfaffian_classical_zero_pivots_match_definition():
+    rng = random.Random(11)
+    for n in (2, 4, 6, 8):
+        for _ in range(15):
+            A = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    # the leading pivots A[k][k+1] are zero, so swaps are forced
+                    if j != i + 1 and rng.random() < 0.6:
+                        A[i][j] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                        A[j][i] = -A[i][j]
+            assert pfaffian_classical(A) == _pfaffian_by_matchings(A), A
+    # one nested matching: Pf = a03 a12, reached by a swap at the first pivot
+    A = [[0, 0, 0, 2], [0, 0, 3, 0], [0, -3, 0, 0], [-2, 0, 0, 0]]
+    assert pfaffian_classical(A) == _pfaffian_by_matchings(A) == 6
+
+
 def test_pfaffian_classical_errors():
     with pytest.raises(ValueError):
         pfaffian_classical([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])  # odd dim

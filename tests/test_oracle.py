@@ -86,6 +86,25 @@ def test_monte_carlo_deterministic_across_threads():
     assert reps[0].std_error == reps[1].std_error == reps[2].std_error
 
 
+def test_monte_carlo_R1_deterministic_across_threads():
+    reps = [
+        integrate_R1(GAUSS, S23, 0.5, method="monte_carlo", budget=20_001, seed=3, threads=t)
+        for t in (1, 2, 4, 8)
+    ]
+    assert len({(r.estimate, r.std_error, r.samples_or_nodes) for r in reps}) == 1
+
+
+@pytest.mark.parametrize(
+    "method, kwargs",
+    [("monte_carlo", {"budget": 10**12}), ("tensor_quadrature", {"nodes": 3000})],
+)
+def test_coordinate_limit_refuses_huge_jobs(method, kwargs):
+    with pytest.raises(ValueError, match=r"limit is 4194304"):
+        integrate_partition(UNIFORM, S22, method=method, **kwargs)
+    with pytest.raises(ValueError, match=r"limit is 4194304"):
+        integrate_R1(UNIFORM, S23, 0.5, method=method, **kwargs)
+
+
 def test_monte_carlo_seed_sensitivity():
     a = integrate_partition(UNIFORM, S22, method="monte_carlo", budget=10_000, seed=1)
     b = integrate_partition(UNIFORM, S22, method="monte_carlo", budget=10_000, seed=2)

@@ -226,9 +226,12 @@ def test_structure_table_json_validation():
 
 
 def test_structure_ceiling(monkeypatch):
+    import loggas.exterior as exterior
     import loggas.spine as spine
 
-    monkeypatch.setattr(spine, "STRUCTURE_CEILING", 3)
+    # blade_weights is cached: an earlier test may already hold S22
+    exterior.blade_weights.cache_clear()
+    monkeypatch.setattr(exterior, "BLADE_CEILING", 3)
     with pytest.raises(ValueError):
         spine._build_structure_table(S22)
 
