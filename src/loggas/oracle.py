@@ -149,6 +149,7 @@ def _integrate(weight, shape, dims, f, method, budget, seed, seed_tag, threads, 
     over `dims` coordinates, by the tensor Gauss rule (by default exact for
     the degree of `shape`) or by the sharded Monte Carlo."""
     if method == "tensor_quadrature":
+        # integrand degree per axis is L^2 (M-1); Gauss-n is exact to 2n-1
         n = nodes if nodes is not None else shape.L * shape.L * (shape.M - 1) // 2 + 1
         _check_size(n**dims, dims, "--nodes")
         X, W = _tensor_nodes(weight, n, dims)
@@ -159,12 +160,6 @@ def _integrate(weight, shape, dims, f, method, budget, seed, seed_tag, threads, 
         scale = 1.0 / math.factorial(dims)
         return scale * mean, scale * se, n
     raise ValueError(f"unknown method {method!r}")
-
-
-def _report(method: str, result: tuple, seed: int, budget: int) -> IntegrationReport:
-    if method == "monte_carlo":
-        return IntegrationReport(*result, method, seed, budget)
-    return IntegrationReport(*result, method)
 
 
 def integrate_partition(
@@ -184,7 +179,9 @@ def integrate_partition(
         return IntegrationReport(as_float(CLOSED_FORMS[key]), 0.0, 0, method)
     f = partial(_interaction_array, L2=shape.L * shape.L)
     result = _integrate(weight, shape, shape.M, f, method, budget, seed, 1, threads, nodes)
-    return _report(method, result, seed, budget)
+    if method == "monte_carlo":
+        return IntegrationReport(*result, method, seed, budget)
+    return IntegrationReport(*result, method)
 
 
 def integrate_R1(
