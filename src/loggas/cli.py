@@ -445,8 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    for name, low in (("threads", 1), ("trials", 1), ("budget", 2)):
-        if getattr(args, name, low) < low:
+    for name, low in (("threads", 1), ("trials", 1), ("budget", 2), ("nodes", 1)):
+        value = getattr(args, name, None)  # None: not this command's option, or --nodes unset
+        if value is not None and value < low:
             ap.error(f"--{name} must be at least {low}")
     try:
         return args.fn(args)

@@ -204,8 +204,19 @@ def basis_blade(shape: ModelShape, degrees, coeff=1) -> Multivector:
     return Multivector(shape, {degrees_to_mask(degrees): coeff})
 
 
-def wedge_into(acc: dict, a: dict, b: dict, c: int = 1) -> dict:
-    """acc += c * (a ^ b) for maps blade -> int; returns acc."""
+def wedge_into(acc: dict, a: dict, b: dict, c: int = 1, full: int | None = None) -> dict:
+    """acc += c * (a ^ b) for maps blade -> int; returns acc.
+
+    Pass the volume mask as `full` when a and b are homogeneous with grades
+    summing to N: a blade ma of a then meets only its complement full ^ ma
+    in b, found by one lookup instead of a pass over b."""
+    if full is not None:
+        for ma, ca in a.items():
+            mb = full ^ ma
+            if mb in b:
+                t = c * ca * b[mb]
+                acc[full] = acc.get(full, 0) + (-t if (parity_mask(ma) & mb).bit_count() & 1 else t)
+        return acc
     for ma, ca in a.items():
         pa, ca = parity_mask(ma), c * ca
         for mb, cb in b.items():
@@ -232,7 +243,8 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
     if a.shape != b.shape:
         raise ValueError("wedge of multivectors over different shapes")
     (ta, da), (tb, db) = _integer_terms(a), _integer_terms(b)
-    acc = wedge_into({}, ta, tb)
+    top = a.grade is not None and b.grade is not None and a.grade + b.grade == a.shape.N
+    acc = wedge_into({}, ta, tb, full=a.shape.volume_mask if top else None)
     if da is not None or db is not None:
         den = (da or 1) * (db or 1)
         acc = {m: Fraction(t, den) for m, t in acc.items() if t}

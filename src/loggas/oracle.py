@@ -68,12 +68,28 @@ def direct_interaction(points, L: int):
 
 
 def _interaction_array(X: np.ndarray, L2: int) -> np.ndarray:
+    """direct_interaction of each row of X: the Vandermonde product
+    prod_{i<k} (x_k - x_i), raised to L2 >= 1 by repeated squaring (numpy
+    multiplies, no libm pow)."""
     n, M = X.shape
-    out = np.ones(n)
+    v = np.ones(n)
     for i in range(M):
         for k in range(i + 1, M):
-            out *= (X[:, k] - X[:, i]) ** L2
-    return out
+            v *= X[:, k] - X[:, i]
+    out = None
+    while True:
+        if L2 & 1:
+            out = v if out is None else out * v
+        L2 >>= 1
+        if not L2:
+            return out
+        v = v * v
+
+
+def _pinned_interaction_array(Y: np.ndarray, x: float, L2: int) -> np.ndarray:
+    """The R_1 integrand at a pinned x: _interaction_array of the rows
+    (x, y_1, ..., y_{M-1})."""
+    return _interaction_array(np.column_stack((np.full(len(Y), x), Y)), L2)
 
 
 def _sample_base(weight: NamedWeight, rng: np.random.Generator, n: int, dims: int):
@@ -199,7 +215,6 @@ def integrate_R1(
     if method == "closed_form":
         raise ValueError("no closed form for R_1")
     x = float(x)
-    L2 = shape.L * shape.L
     wx = weight.density_float(x)
     zrep = integrate_partition(weight, shape, method, budget, seed, threads, nodes)
     if shape.M == 1:
@@ -207,15 +222,8 @@ def integrate_R1(
         est = wx / zrep.estimate
         return dataclasses.replace(zrep, estimate=est, std_error=abs(est) * zrep.std_error / zrep.estimate)
 
-    def f_insert(Y: np.ndarray) -> np.ndarray:
-        out = _interaction_array(Y, L2)
-        for j in range(shape.M - 1):
-            out *= (x - Y[:, j]) ** L2
-        return out
-
-    numer, numer_se, count = _integrate(
-        weight, shape, shape.M - 1, f_insert, method, budget, seed, 2, threads, nodes
-    )
+    f = partial(_pinned_interaction_array, x=x, L2=shape.L * shape.L)
+    numer, numer_se, count = _integrate(weight, shape, shape.M - 1, f, method, budget, seed, 2, threads, nodes)
     est = wx * numer / zrep.estimate
     rel = 0.0
     if numer != 0.0:

@@ -208,11 +208,17 @@ def structure_table(shape: ModelShape, cache: bool = True) -> StructureTable:
     return table
 
 
+def _top_grade_mask(shape: ModelShape) -> int | None:
+    """The volume mask when two grade-L blades fill all N slots (M = 2), for
+    wedge_into's complement lookup; None otherwise."""
+    return shape.volume_mask if shape.M == 2 else None
+
+
 def plucker_residual(n: int, shape: ModelShape) -> Multivector:
     """r_n = sum_{p+q=n} eps_p ^ eps_q, summed in one int map.  Identically zero."""
-    K, acc = shape.K, {}
+    K, acc, full = shape.K, {}, _top_grade_mask(shape)
     for p in range(max(-K, n - K), min(K, n + K) + 1):
-        wedge_into(acc, epsilon(p, shape).terms, epsilon(n - p, shape).terms)
+        wedge_into(acc, epsilon(p, shape).terms, epsilon(n - p, shape).terms, full=full)
     return Multivector(shape, acc)
 
 
@@ -284,12 +290,12 @@ def adjunction_expansion(q: int, moments, shape: ModelShape, table: StructureTab
 def toeplitz_residual(T: ToeplitzOperator, n: int, shape: ModelShape) -> Multivector:
     """r_{n,T} = sum_{p+q=n} eps_p ^ (T eps_q) = sum_k t_k sum_p eps_p ^ eps_{n-k-p},
     summed in one int map over the band's common denominator.  Identically zero."""
-    K, acc = shape.K, {}
+    K, acc, full = shape.K, {}, _top_grade_mask(shape)
     nums, den = read_scaled(t for _, t in T.band)
     for (offset, _), t in zip(T.band, nums):
         if not t:
             continue
         m = n - offset
         for p in range(max(-K, m - K), min(K, m + K) + 1):
-            wedge_into(acc, epsilon(p, shape).terms, epsilon(m - p, shape).terms, t)
+            wedge_into(acc, epsilon(p, shape).terms, epsilon(m - p, shape).terms, t, full)
     return Multivector(shape, {mask: Fraction(c, den) for mask, c in acc.items() if c})

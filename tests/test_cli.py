@@ -370,6 +370,18 @@ def test_usage_error_bad_input(capsys, tmp_path, argv):
     assert "Traceback" not in out.err
 
 
+@pytest.mark.parametrize("nodes", ["0", "-3"])
+@pytest.mark.parametrize("method", ["tensor_quadrature", "monte_carlo"])
+def test_oracle_nodes_lower_bound(capsys, method, nodes):
+    argv = ["oracle", "--L", "2", "--M", "2", "--weight", "uniform:0,1", "--method", method, "--nodes", nodes]
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    out = capsys.readouterr()
+    assert e.value.code == 2
+    assert out.out == ""
+    assert any("error:" in line and "--nodes" in line for line in out.err.splitlines())
+
+
 def test_out_file(capsys, tmp_path):
     target = tmp_path / "z.json"
     code, out, _ = run(

@@ -23,6 +23,7 @@ from loggas.exterior import (
     star_pairing,
     superfactorial,
     wedge,
+    wedge_into,
     zero_multivector,
 )
 from loggas.scalars import Tagged, rational
@@ -117,6 +118,63 @@ def test_wedge_matches_oracle(L, M, kind):
             assert all(type(c) is int for c in product.terms.values())
     x, y = rational("3/7"), rational(-2)
     assert wedge(omega(x, sh), omega(y, sh)) == oracle_wedge(omega(x, sh), omega(y, sh))
+
+
+def _fraction_blades(rng, shape, masks):
+    """Nonzero Fraction coefficients on the given blades."""
+    return Multivector(
+        shape, {m: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for m in masks}
+    )
+
+
+def _random_masks(rng, shape, grade, count):
+    return {degrees_to_mask(rng.sample(range(shape.N), grade)) for _ in range(count)}
+
+
+@pytest.fixture
+def top_grade_calls(monkeypatch):
+    """The `full` argument of every wedge_into call that wedge makes."""
+    seen = []
+
+    def spy(acc, a, b, c=1, full=None):
+        seen.append(full)
+        return wedge_into(acc, a, b, c, full)
+
+    monkeypatch.setattr("loggas.exterior.wedge_into", spy)
+    return seen
+
+
+@pytest.mark.parametrize("L,M,ga", [(2, 2, 2), (2, 3, 4), (4, 2, 4), (6, 2, 6)])
+def test_wedge_top_grade_matches_oracle(top_grade_calls, L, M, ga):
+    sh, rng = ModelShape(L, M), random.Random(f"top{L}{M}{ga}")
+    full, gb, zero_products = sh.volume_mask, sh.N - ga, 0
+    for _ in range(10):
+        a_masks = _random_masks(rng, sh, ga, 12)
+        hits = set(list(a_masks)[: len(a_masks) // 2])
+        # half of a's blades meet their complement in b; the others meet none
+        b_masks = {full ^ m for m in hits} | {m for m in _random_masks(rng, sh, gb, 12) if full ^ m not in a_masks}
+        a, b = _fraction_blades(rng, sh, a_masks), _fraction_blades(rng, sh, b_masks)
+        assert wedge(a, b) == oracle_wedge(a, b)
+        assert wedge(b, a) == oracle_wedge(b, a)
+        assert not oracle_wedge(a, b).is_zero()
+        # no blade of b is the complement of one of a: the product is zero
+        misses = _fraction_blades(rng, sh, b_masks - {full ^ m for m in hits})
+        if not misses.is_zero():
+            zero_products += 1
+            assert wedge(a, misses).is_zero() and oracle_wedge(a, misses).is_zero()
+    assert zero_products and set(top_grade_calls) == {full}
+
+
+def test_wedge_mixed_grade_takes_the_general_loop(top_grade_calls):
+    sh, rng = ModelShape(2, 3), random.Random("mixed-top")
+    # grade 4 with grade 2 fills N = 6, while grade 2 with grade 2 does not
+    a = _fraction_blades(rng, sh, _random_masks(rng, sh, 4, 8) | _random_masks(rng, sh, 2, 8))
+    b = _fraction_blades(rng, sh, _random_masks(rng, sh, 2, 8))
+    assert a.grade is None and b.grade == 2
+    product = wedge(a, b)
+    assert product == oracle_wedge(a, b)
+    assert {m.bit_count() for m in product.terms} == {4, 6}
+    assert top_grade_calls == [None]
 
 
 def test_wedge_refuses_floats():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from loggas.ensemble import NamedWeight, partition_function
@@ -7,6 +8,8 @@ from loggas.exterior import ModelShape
 from loggas.oracle import (
     CLOSED_FORMS,
     IntegrationReport,
+    _interaction_array,
+    _pinned_interaction_array,
     direct_interaction,
     integrate_R1,
     integrate_partition,
@@ -35,6 +38,52 @@ def test_direct_interaction_float():
 
 def test_direct_interaction_L4():
     assert direct_interaction(["0", "1/2"], 4) == rational(f"1/{2**16}")
+
+
+def _rows_with_ties(M: int, seed: int) -> np.ndarray:
+    """Random rows on both sides of 0; some rows hold a 0, some a repeated point."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, size=(60, M))
+    X[::5, 0] = 0.0
+    if M >= 2:
+        X[1::4, 1] = X[1::4, 0]
+    return X
+
+
+def _assert_matches_direct(got: float, points: list, L: int):
+    want = direct_interaction(points, L)
+    if len(set(points)) < len(points):
+        assert got == want == 0.0, points
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), points
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+@pytest.mark.parametrize("L", [2, 4, 6, 8])
+def test_interaction_array_matches_direct_interaction(L, M):
+    # exponents 4, 16, 36, 64: squarings only, and (36) one extra multiply
+    X = _rows_with_ties(M, 10 * L + M)
+    for row, got in zip(X, _interaction_array(X, L * L)):
+        _assert_matches_direct(got, row.tolist(), L)
+
+
+@pytest.mark.parametrize("M", [2, 3, 4])
+@pytest.mark.parametrize("L", [2, 4, 6, 8])
+def test_pinned_integrand_matches_direct_interaction(L, M):
+    Y = _rows_with_ties(M - 1, 10 * L + M)
+    for x in (-0.75, 0.0, 1.25, float(Y[0, -1])):  # the last x meets a point of the first row
+        for row, got in zip(Y, _pinned_interaction_array(Y, x, L * L)):
+            _assert_matches_direct(got, [x, *row.tolist()], L)
+
+
+@pytest.mark.parametrize("L,M", [(4, 2), (6, 2)])
+@pytest.mark.parametrize("weight", [UNIFORM, GAUSS], ids=["uniform", "gaussian"])
+def test_quadrature_matches_engine_at_higher_exponents(weight, L, M):
+    # exponents 16 and 36, against the exact algebraic engine
+    shape = ModelShape(L, M)
+    exact = as_float(partition_function(weight.moments(2 * shape.K), shape))
+    rep = integrate_partition(weight, shape, method="tensor_quadrature")
+    assert rep.estimate == pytest.approx(exact, rel=1e-10)
 
 
 def test_closed_forms_match_engine():
@@ -90,6 +139,14 @@ def test_monte_carlo_R1_deterministic_across_threads():
     reps = [
         integrate_R1(GAUSS, S23, 0.5, method="monte_carlo", budget=20_001, seed=3, threads=t)
         for t in (1, 2, 4, 8)
+    ]
+    assert len({(r.estimate, r.std_error, r.samples_or_nodes) for r in reps}) == 1
+
+
+def test_monte_carlo_R1_deterministic_across_threads_L4():
+    reps = [
+        integrate_R1(UNIFORM, ModelShape(4, 2), 0.3, method="monte_carlo", budget=20_001, seed=3, threads=t)
+        for t in (1, 2, 4)
     ]
     assert len({(r.estimate, r.std_error, r.samples_or_nodes) for r in reps}) == 1
 
